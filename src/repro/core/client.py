@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, List, Optional, Set
 
 from repro.analysis.metrics import Telemetry
 from repro.core.config import StorageTier
@@ -255,10 +255,7 @@ class UniviStorDriver(ADIODriver):
                 pending.extend(records)
                 insort(pending_spans, (req.offset, req.offset + req.length))
             else:
-                touched = metadata.insert_many(records)
-                cache = system.location_cache
-                if cache is not None:
-                    cache.insert_records(records)
+                touched = self._insert(records)
             for s in touched:
                 inserts_per_server[s] = inserts_per_server.get(s, 0) + 1
             for key in rank_local_tiers:
@@ -373,18 +370,27 @@ class UniviStorDriver(ADIODriver):
         self.telemetry.record(app=comm.name, op="write", path=state.ctx.path,
                               t_start=t0, nbytes=total, driver=self.name)
 
+    def _insert(self, records: List[MetadataRecord]) -> Set[int]:
+        """Insert records into the metadata service and write the pieces
+        it stored through into the location cache; returns the servers
+        touched."""
+        cache = self.system.location_cache
+        pieces = [] if cache is not None else None
+        touched = self.system.metadata.insert_many(records, pieces=pieces)
+        if cache is not None:
+            cache.insert_records(pieces)
+        return touched
+
     def _ship_pending(self, session: FileSession,
                       pending: List[MetadataRecord]) -> None:
         """Ship the op's accumulated records: coalesce contiguous
         neighbours, one aggregated insert per touched server (one journal
-        batch per range), write-through into the location cache."""
+        batch per range), write-through of the stored pieces into the
+        location cache."""
         if not pending:
             return
         records, merges = coalesce_records(pending)
-        self.system.metadata.insert_many(records)
-        cache = self.system.location_cache
-        if cache is not None:
-            cache.insert_records(records)
+        self._insert(records)
         telemetry = self.telemetry
         telemetry.incr("meta-batch")
         if merges:

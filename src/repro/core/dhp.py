@@ -10,13 +10,16 @@ A log's space is a sequence of fixed-size **chunks**; data is appended
 inside a chunk log-structured.  A **free-chunk stack** records reusable
 chunk IDs: a fully dead chunk (all its bytes overwritten or deleted) is
 pushed back and reused before fresh chunks are taken.
+
+A log's capacity, and so its VA window (Eq. 1), is fixed when the writer
+is built; its backing file and chunk lists appear on its first append.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import StorageTier
 from repro.core.va import VirtualAddressSpace
@@ -27,11 +30,15 @@ from repro.storage.posix import SimFile
 __all__ = ["Chunk", "LogFile", "PlacedSegment", "DHPWriter", "LogFullError"]
 
 
+#: Chunk lists of a log nothing was appended to yet (shared, immutable).
+_UNOPENED: Tuple = ()
+
+
 class LogFullError(RuntimeError):
     """The log (or its device) cannot hold any more data."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Chunk:
     """Descriptor of one log chunk (exposed for inspection/tests)."""
 
@@ -40,7 +47,7 @@ class Chunk:
     live: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlacedSegment:
     """Where one contiguous run of logical file bytes physically landed."""
 
@@ -63,11 +70,20 @@ class LogFile:
     ``capacity`` bounds the log (the c/p rule); ``device`` is the capacity
     ledger actually charged chunk by chunk — a log may fail *before* its
     own bound if the device runs dry (other processes' logs compete for
-    the same DRAM/BB space).  ``sim_file`` holds the real bytes.
+    the same DRAM/BB space).  ``sim_file`` holds the real bytes: either
+    the :class:`SimFile` itself or ``open_file(tier) -> SimFile``, called
+    on the first append.  A layer no byte ever reaches then creates no
+    file and no chunk lists (its VA window is fixed by ``capacity``
+    alone, Eq. 1).
     """
 
+    __slots__ = ("tier", "capacity", "chunk_size", "device", "max_chunks",
+                 "_file", "_open_file", "_chunk_used", "_chunk_live",
+                 "_free_stack", "_active", "bytes_written", "bytes_live")
+
     def __init__(self, tier: StorageTier, capacity: float, chunk_size: float,
-                 sim_file: SimFile, device: Optional[StorageDevice] = None):
+                 sim_file: Union[SimFile, Callable[[StorageTier], SimFile]],
+                 device: Optional[StorageDevice] = None):
         if capacity <= 0:
             raise ValueError(f"log capacity must be positive, got {capacity}")
         if chunk_size <= 0:
@@ -75,18 +91,40 @@ class LogFile:
         self.tier = tier
         self.capacity = float(capacity)
         self.chunk_size = float(chunk_size)
-        self.sim_file = sim_file
         self.device = device
         self.max_chunks = (math.inf if capacity == math.inf
                            else max(1, int(capacity // chunk_size)))
-        #: Bytes appended per allocated chunk, indexed by chunk id.
-        self._chunk_used: List[float] = []
+        if isinstance(sim_file, SimFile):
+            self._file: Optional[SimFile] = sim_file
+            self._open_file = None
+        else:
+            self._file = None
+            self._open_file = sim_file
+        #: Bytes appended per allocated chunk, indexed by chunk id; this
+        #: and the two lists below become real lists on the first append.
+        self._chunk_used: Sequence[float] = _UNOPENED
         #: Live (not-yet-freed) bytes per chunk.
-        self._chunk_live: List[float] = []
-        self._free_stack: List[int] = []
+        self._chunk_live: Sequence[float] = _UNOPENED
+        self._free_stack: Sequence[int] = _UNOPENED
         self._active: Optional[int] = None  # chunk being appended to
         self.bytes_written = 0.0
         self.bytes_live = 0.0
+
+    @property
+    def sim_file(self) -> Optional[SimFile]:
+        """The backing file, or ``None`` while nothing was ever appended
+        to a log built with a factory.  Every placed segment's log has
+        one, so readers resolving a record never see ``None``."""
+        return self._file
+
+    def _open(self) -> None:
+        """First append: create the backing file and the chunk lists."""
+        if self._file is None:
+            self._file = self._open_file(self.tier)
+            self._open_file = None
+        self._chunk_used = []
+        self._chunk_live = []
+        self._free_stack = []
 
     # -- queries ---------------------------------------------------------
     @property
@@ -103,7 +141,7 @@ class LogFile:
 
     def remaining_in_log(self) -> float:
         """Space the log could still accept (ignoring device pressure)."""
-        if self.max_chunks is math.inf:
+        if self.max_chunks == math.inf:
             return math.inf
         remaining = 0.0
         if self._active is not None:
@@ -143,6 +181,8 @@ class LogFile:
         """
         if length <= 0:
             raise ValueError(f"append length must be positive, got {length}")
+        if self._chunk_used is _UNOPENED:
+            self._open()
         runs: List[Tuple[float, int]] = []
         placed = 0
         while placed < length:
@@ -200,7 +240,7 @@ class LogFile:
             runs[-1] = (prev_addr, prev_len + take)
         else:
             runs.append((addr, take))
-        self.sim_file.write_at(int(addr), take, payload, payload_offset)
+        self._file.write_at(int(addr), take, payload, payload_offset)
         self.bytes_written += take
         self.bytes_live += take
 
@@ -212,7 +252,7 @@ class LogFile:
         are fine — the caller loops.
         """
         want = max(1, math.ceil(nbytes / self.chunk_size))
-        if self.max_chunks is not math.inf:
+        if self.max_chunks != math.inf:
             want = min(want, int(self.max_chunks - self.allocated_chunks))
             if want <= 0:
                 return None
@@ -258,12 +298,14 @@ class LogFile:
         """Materialise extents for physical runs (for the read service)."""
         out = []
         for addr, length in runs:
-            out.extend(self.sim_file.read_at(int(addr), int(length)))
+            out.extend(self._file.read_at(int(addr), int(length)))
         return out
 
 
 class DHPWriter:
     """DHP for one (file, rank): logs across layers + spill logic."""
+
+    __slots__ = ("rank", "vas", "logs", "_spill_level")
 
     def __init__(self, rank: int, vas: VirtualAddressSpace,
                  logs: Sequence[LogFile]):

@@ -13,7 +13,8 @@ timing-neutral by construction.
 Coherence model — the cache only answers for files it has **tracked
 since creation** (``begin_file`` at session creation, before any record
 exists), and every accepted insert is written through with the same
-``apply_insert`` algorithm the authoritative stores run.  A tracked
+``apply_insert`` algorithm the authoritative stores run, applied to the
+very range-local pieces the stores received.  A tracked
 file's cache is therefore a byte-identical mirror, holes included, so a
 miss *inside* a tracked file is authoritative ("unwritten bytes") rather
 than a cache artifact.  Anything that could break the mirror drops the
@@ -100,7 +101,12 @@ class LocationCache:
     def insert_records(self, records: List[MetadataRecord]) -> None:
         """Mirror an accepted insert batch.  Untracked fids are ignored —
         a partial mirror would be exactly the stale cache this class
-        exists to prevent."""
+        exists to prevent.
+
+        The write-through passes the range-local pieces
+        ``MetadataService.insert_many`` stored, so the cache holds the
+        very objects the stores and journal hold; a record that spans a
+        range boundary (a caller holding raw records) is split first."""
         files = self._files
         range_size = self.range_size
         compaction = self.compaction
@@ -109,6 +115,10 @@ class LocationCache:
             if store is None:
                 continue
             wrapped = {record.fid: store}
+            if (int(record.offset // range_size)
+                    == int((record.end - 1) // range_size)):
+                apply_insert(wrapped, record, range_size, compaction)
+                continue
             for piece in split_record(record, range_size):
                 apply_insert(wrapped, piece, range_size, compaction)
 

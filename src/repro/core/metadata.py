@@ -186,7 +186,7 @@ def apply_insert(store: Dict[int, Tuple[List[int], List["MetadataRecord"]]],
                 j += 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetadataRecord:
     """Fig. 3's record: FID + offset -> source process + VA (+ locality)."""
 
@@ -668,7 +668,8 @@ class MetadataService:
                 continue
             self._stale.setdefault(range_index, set()).add(server)
 
-    def insert(self, record: MetadataRecord) -> Set[int]:
+    def insert(self, record: MetadataRecord,
+               pieces: Optional[List[MetadataRecord]] = None) -> Set[int]:
         """Insert (overwriting overlaps); returns servers contacted.
 
         With replication every ackable replica of the piece's range
@@ -678,7 +679,8 @@ class MetadataService:
         are appended to the range's write-ahead journal (after the
         acceptance check: a rejected write must not be resurrected by a
         later takeover replay); live members that missed the write are
-        fenced as stale.
+        fenced as stale.  ``pieces`` receives the accepted range-local
+        pieces, as in :meth:`insert_many`.
         """
         touched: Set[int] = set()
         for piece in self._split_by_range(record):
@@ -691,6 +693,8 @@ class MetadataService:
                 err.length = piece.length
                 raise
             self._journal.setdefault(range_index, []).append(piece)
+            if pieces is not None:
+                pieces.append(piece)
             for server in ackers:
                 touched.add(server)
                 self._insert_piece(server, piece)
@@ -703,9 +707,16 @@ class MetadataService:
 
     def insert_many(self, records: Iterable[MetadataRecord],
                     coalesce: bool = False,
-                    stats: Optional[Dict[str, int]] = None) -> Set[int]:
+                    stats: Optional[Dict[str, int]] = None,
+                    pieces: Optional[List[MetadataRecord]] = None
+                    ) -> Set[int]:
         """Batched insert: one journal append per touched range, deduped
         touched-server set, optional contiguous-record coalescing.
+
+        ``pieces``, when given, receives the range-local pieces this call
+        journaled and stored — the same objects, in apply order — so a
+        location-cache write-through applies them without splitting the
+        records a second time.
 
         Functionally identical to inserting the records one at a time —
         ranges partition the offset space, so grouping pieces by range
@@ -735,7 +746,7 @@ class MetadataService:
             stats["pieces"] = stats.get("pieces", 0) + n_pieces
         ackers_by_range: Dict[int, List[int]] = {}
         split_ackers: Dict[int, List[List[int]]] = {}
-        for range_index, pieces in per_range.items():
+        for range_index, batch in per_range.items():
             try:
                 if range_index in self._splits:
                     # Split range: each piece routes to its sub-range's
@@ -743,7 +754,7 @@ class MetadataService:
                     # boundaries by _split_by_range).
                     split_ackers[range_index] = [
                         self._write_ackers(range_index, p.offset)
-                        for p in pieces]
+                        for p in batch]
                 else:
                     ackers_by_range[range_index] = self._write_ackers(
                         range_index)
@@ -754,14 +765,16 @@ class MetadataService:
                 # produced bit-for-bit.
                 touched = set()
                 for record in records:
-                    touched |= self.insert(record)
+                    touched |= self.insert(record, pieces)
                 return touched
         touched = set()
-        for range_index, pieces in per_range.items():
-            self._journal.setdefault(range_index, []).extend(pieces)
+        for range_index, batch in per_range.items():
+            self._journal.setdefault(range_index, []).extend(batch)
+            if pieces is not None:
+                pieces.extend(batch)
             per_piece = split_ackers.get(range_index)
             if per_piece is not None:
-                for piece, ackers in zip(pieces, per_piece):
+                for piece, ackers in zip(batch, per_piece):
                     for server in ackers:
                         touched.add(server)
                         self._insert_piece(server, piece)
@@ -774,7 +787,7 @@ class MetadataService:
                 for server in ackers:
                     touched.add(server)
                     insert = self._insert_piece
-                    for piece in pieces:
+                    for piece in batch:
                         insert(server, piece)
                 if self.unreachable_servers or self._stale:
                     self._mark_missed(range_index, ackers)

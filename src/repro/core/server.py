@@ -17,6 +17,7 @@ sockets, §III-A).  They collectively provide:
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Dict, List, Optional
 
 from repro.cluster.node import ComputeNode
@@ -31,7 +32,7 @@ from repro.core.workflow import WorkflowManager
 from repro.sim.engine import Engine, Event
 from repro.simmpi.comm import Communicator
 from repro.storage.device import StorageDevice
-from repro.storage.posix import FileStore
+from repro.storage.posix import FileStore, SimFile
 
 __all__ = ["FileSession", "UniviStorServers"]
 
@@ -570,24 +571,30 @@ class UniviStorServers:
                                                     cache_tiers)
         tiers: List[StorageTier] = list(cache_tiers)
         tiers.append(StorageTier.PFS)
+        # Capacities (hence every VA, Eq. 1) are fixed now; each layer's
+        # log file appears on its first append — most ranks never spill.
+        open_file = partial(self._open_log, session.fid, rank, node)
         capacities: List[float] = []
         logs: List[LogFile] = []
         for tier in tiers:
             if tier is StorageTier.PFS:
                 capacity: float = math.inf
+                device = None
             else:
                 capacity = self._log_capacity(tier, node, comm)
-            tier_node = node if tier.is_node_local else None
-            store = self.tier_store(tier, tier_node)
-            sim_file = store.create(
-                f"/univistor/{session.fid}/{rank}/{tier.value}.log")
-            device = (None if tier is StorageTier.PFS
-                      else self.tier_device(tier, tier_node))
+                device = self.tier_device(
+                    tier, node if tier.is_node_local else None)
             logs.append(LogFile(tier, capacity, self.config.chunk_size,
-                                sim_file, device=device))
+                                open_file, device=device))
             capacities.append(capacity)
         vas = VirtualAddressSpace(tiers, capacities)
         return DHPWriter(rank, vas, logs)
+
+    def _open_log(self, fid: int, rank: int, node: ComputeNode,
+                  tier: StorageTier) -> SimFile:
+        """Create ``rank``'s log file on ``tier`` (its first append)."""
+        store = self.tier_store(tier, node if tier.is_node_local else None)
+        return store.create(f"/univistor/{fid}/{rank}/{tier.value}.log")
 
     # -- teardown ------------------------------------------------------------
     def delete_file(self, path: str) -> None:
@@ -599,8 +606,10 @@ class UniviStorServers:
         if self.location_cache is not None:
             if self.location_cache.invalidate_file(sess.fid):
                 self.count("cache-invalidate")
-        for rank, writer in sess.writers.items():
+        for writer in sess.writers.values():
             for log in writer.logs:
                 if log.device is not None and log.allocated_chunks:
                     log.device.free(log.allocated_chunks * log.chunk_size)
-                log.sim_file.store.unlink(log.sim_file.path)
+                sim_file = log.sim_file
+                if sim_file is not None:  # never appended to: no file
+                    sim_file.store.unlink(sim_file.path)

@@ -31,6 +31,8 @@ class VirtualAddressSpace:
     PFS destination), expressed as ``float('inf')``.
     """
 
+    __slots__ = ("tiers", "capacities", "_bases")
+
     def __init__(self, tiers: Sequence[StorageTier],
                  capacities: Sequence[float]):
         if len(tiers) != len(capacities):

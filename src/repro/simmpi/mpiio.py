@@ -19,7 +19,7 @@ from repro.storage.datamodel import Payload
 __all__ = ["IORequest", "File"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IORequest:
     """One rank's slice of a collective I/O operation.
 

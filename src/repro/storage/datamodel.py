@@ -39,6 +39,8 @@ __all__ = [
 class Payload:
     """Abstract content source addressed by a non-negative byte offset."""
 
+    __slots__ = ()
+
     def materialize(self, start: int, length: int) -> bytes:
         """Return the literal bytes of ``[start, start + length)``."""
         raise NotImplementedError
@@ -51,7 +53,7 @@ class Payload:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BytesPayload(Payload):
     """Literal byte content (small data: metadata regions, test payloads)."""
 
@@ -71,7 +73,7 @@ class BytesPayload(Payload):
         return f"bytes[{len(self.data)}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PatternPayload(Payload):
     """A deterministic infinite byte stream identified by ``seed``.
 
@@ -99,7 +101,7 @@ class PatternPayload(Payload):
         return f"pattern[{self.seed}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorruptPayload(Payload):
     """Bit-rotted content: bytes whose stored checksum no longer matches.
 
@@ -133,6 +135,7 @@ class CorruptPayload(Payload):
 class ZeroPayload(Payload):
     """All zeros — unwritten holes read as zeros, like POSIX."""
 
+    __slots__ = ()
     _instance: Optional["ZeroPayload"] = None
 
     def __new__(cls):
@@ -152,7 +155,7 @@ class ZeroPayload(Payload):
         return "zeros"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Extent:
     """``length`` bytes at file ``offset`` drawn from ``payload`` at
     ``payload_offset``."""
@@ -206,6 +209,8 @@ class ExtentMap:
     extents are sorted by offset, never overlap, and adjacent extents from
     the same payload stream are merged.
     """
+
+    __slots__ = ("_starts", "_extents")
 
     def __init__(self):
         self._starts: List[int] = []

@@ -18,14 +18,14 @@ __all__ = ["SimFile", "FileStore"]
 
 
 class SimFile:
-    """One simulated file: an extent map plus minimal metadata."""
+    """One simulated file: its path, its store and an extent map."""
+
+    __slots__ = ("path", "store", "data")
 
     def __init__(self, path: str, store: "FileStore"):
         self.path = path
         self.store = store
         self.data = ExtentMap()
-        self.created_at = 0.0
-        self.attrs: Dict[str, object] = {}
 
     @property
     def size(self) -> int:

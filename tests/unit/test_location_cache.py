@@ -13,7 +13,11 @@ from repro import (
 )
 from repro.core.config import StorageTier
 from repro.core.location_cache import LocationCache
-from repro.core.metadata import MetadataRecord, MetadataService
+from repro.core.metadata import (
+    MetadataRecord,
+    MetadataService,
+    coalesce_records,
+)
 from repro.units import KiB
 
 KB = 1024
@@ -268,3 +272,64 @@ class TestSimCoherence:
 
         with pytest.raises(ValueError, match="unwritten"):
             sim.run_to_completion(app())
+
+
+# -- split once: the write-through applies the stored pieces --------------
+
+BLOCK = int(40 * KiB)
+
+
+def collective_write(config, ranks=64, split=None):
+    """One ``ranks``-wide collective write of :data:`BLOCK` bytes per
+    rank.  40 KiB blocks over 64 KiB ranges put many records across a
+    range boundary (and one across the midpoint of range 1), so the
+    write is really split.  ``split`` names a range to split before
+    the file exists, so the cache tracks the file from birth."""
+    sim = Simulation(MachineSpec.small_test(nodes=ranks // 4))
+    sim.install_univistor(config)
+    if split is not None:
+        sim.univistor.metadata.split_range(split)
+    comm = sim.comm("app", ranks, procs_per_node=4)
+    write_blocks(sim, comm, "/f", BLOCK)
+    return sim, comm
+
+
+class TestSplitOnce:
+    def config(self, **kw):
+        return UniviStorConfig.dram_bb(
+            flush_enabled=False, metadata_range_size=float(64 * KiB),
+            metadata_replication=2, **kw)
+
+    def test_cache_holds_the_stored_piece_objects(self):
+        sim, comm = collective_write(self.config())
+        system = sim.univistor
+        fid = system.session("/f").fid
+        md = system.metadata
+        cached = system.location_cache._files[fid][1]
+        stored = {id(r) for store in md._stores
+                  for r in store.get(fid, ((), ()))[1]}
+        journaled = {id(r) for recs in md._journal.values() for r in recs}
+        assert len(cached) > comm.size  # boundary-crossing records split
+        assert sum(r.length for r in cached) == comm.size * BLOCK
+        for record in cached:
+            assert id(record) in stored
+            assert id(record) in journaled
+
+    def test_split_range_cache_matches_store(self):
+        """Pieces inside a hotspot-split range are also sliced at the
+        sub-range boundary.  The cache, which knows no sub-ranges, merges
+        them back; the stores answer per sub-range and so clip there.
+        Both resolve every byte to the same (ProcID, VA)."""
+        sim, comm = collective_write(self.config(hotspot_enabled=True),
+                                     split=1)
+        system = sim.univistor
+        md = system.metadata
+        mid = md.sub_ranges(1)[1][0]
+        assert any(p.end == mid for p in md._journal[1])  # sub-sliced
+        fid = system.session("/f").fid
+        total = comm.size * BLOCK
+        auth, _ = md.lookup(fid, 0, total)
+        got = system.location_cache.lookup(fid, 0, total)
+        assert (as_tuples(coalesce_records(got)[0])
+                == as_tuples(coalesce_records(auth)[0]))
+        assert_payloads(read_all(sim, comm, "/f", BLOCK), comm, BLOCK)

@@ -9,6 +9,7 @@ from repro.cluster.topology import Machine
 from repro.core.config import StorageTier, UniviStorConfig
 from repro.core.server import SERVER_PROGRAM, UniviStorServers
 from repro.sim import Engine
+from repro.storage.datamodel import PatternPayload
 from repro.simmpi import Communicator
 from repro.units import MiB
 
@@ -115,15 +116,60 @@ class TestSessions:
         assert writer.logs[0].capacity >= 64 * MiB
 
     def test_log_files_created_in_correct_stores(self):
+        """Opening a writer fixes capacities and VAs but creates no log
+        file; the first write creates the DRAM log in the node store."""
+        machine, system = make_system()
+        comm = Communicator(machine, "app", 4, procs_per_node=2)
+        session = system.session("/f")
+        writer = session.writer_for(comm, 0)
+        node0 = machine.nodes[0]
+        fid = session.fid
+        dram = f"/univistor/{fid}/0/dram.log"
+        assert not node0.files.exists(dram)
+        assert len(machine.bb_files) == len(machine.pfs_files) == 0
+        assert all(log.sim_file is None for log in writer.logs)
+        writer.write(0, 1 * MiB, PatternPayload(1))
+        assert node0.files.exists(dram)
+        assert writer.logs[0].sim_file is node0.files.open(dram)
+        assert len(machine.bb_files) == len(machine.pfs_files) == 0
+
+    def test_spill_creates_lower_tier_logs_on_first_append(self):
+        machine, system = make_system(UniviStorConfig.dram_bb(
+            chunk_size=1 * MiB, dram_log_capacity=2 * MiB,
+            bb_log_capacity=2 * MiB))
+        comm = Communicator(machine, "app", 4, procs_per_node=2)
+        session = system.session("/f")
+        writer = session.writer_for(comm, 1)
+        fid = session.fid
+        bb = f"/univistor/{fid}/1/shared_bb.log"
+        pfs = f"/univistor/{fid}/1/pfs.log"
+        writer.write(0, 2 * MiB, PatternPayload(1))  # fills DRAM exactly
+        assert not machine.bb_files.exists(bb)
+        segs = writer.write(2 * MiB, 1 * MiB, PatternPayload(2))
+        assert [s.tier for s in segs] == [StorageTier.SHARED_BB]
+        assert machine.bb_files.exists(bb)
+        assert not machine.pfs_files.exists(pfs)
+        segs = writer.write(3 * MiB, 2 * MiB, PatternPayload(3))
+        assert [s.tier for s in segs] == [StorageTier.SHARED_BB,
+                                          StorageTier.PFS]
+        assert machine.pfs_files.exists(pfs)
+        # VAs follow the capacities fixed at open (Eq. 1).
+        assert segs[1].va == 4 * MiB
+        assert (machine.pfs_files.open(pfs).read_bytes(0, 1 * MiB)
+                == PatternPayload(3).materialize(1 * MiB, 1 * MiB))
+
+    def test_delete_with_untouched_tiers(self):
         machine, system = make_system()
         comm = Communicator(machine, "app", 4, procs_per_node=2)
         session = system.session("/f")
         session.writer_for(comm, 0)
-        node0 = machine.nodes[0]
-        fid = session.fid
-        assert node0.files.exists(f"/univistor/{fid}/0/dram.log")
-        assert machine.bb_files.exists(f"/univistor/{fid}/0/shared_bb.log")
-        assert machine.pfs_files.exists(f"/univistor/{fid}/0/pfs.log")
+        session.writer_for(comm, 3)
+        used = ([n.dram.used for n in machine.nodes],
+                machine.burst_buffer.device.used)
+        system.delete_file("/f")  # no log file exists: must not raise
+        assert ([n.dram.used for n in machine.nodes],
+                machine.burst_buffer.device.used) == used
+        assert not system.has_session("/f")
 
     def test_node_of_proc_requires_writer(self):
         _, system = make_system()
