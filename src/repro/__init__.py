@@ -24,10 +24,16 @@ Everything else lives in its home subpackage — importing a relocated
 name from ``repro`` raises an :class:`AttributeError` that states the
 new import path.
 
+``import repro`` loads the simulator stack a job runs (engine, machine,
+UniviStor core, storage models, MPI-IO).  The multi-job engine
+(``WorkloadSpec``, ``run_trace``) and the experiment registry
+(``run_experiment``) load on first access.
+
 See ``examples/`` for runnable scenarios and ``benchmarks/`` for the
 regeneration of every figure in the paper's evaluation.
 """
 
+from repro._lazy import lazy_exports
 from repro.analysis.metrics import Telemetry
 from repro.analysis.report import Table
 from repro.cluster.spec import MachineSpec
@@ -36,7 +42,6 @@ from repro.sim.faults import FaultSpec
 from repro.simmpi.mpiio import File, IORequest
 from repro.simulation import Simulation
 from repro.storage.datamodel import PatternPayload
-from repro.workloads.engine import WorkloadSpec, run_trace
 
 __version__ = "2.1.0"
 
@@ -79,15 +84,17 @@ _MOVED = {
 }
 
 
+_lazy_getattr, __dir__ = lazy_exports(__name__, {
+    "WorkloadSpec": "repro.workloads.engine",
+    "run_experiment": "repro.experiments.registry",
+    "run_trace": "repro.workloads.engine",
+})
+
+
 def __getattr__(name):
-    if name == "run_experiment":
-        # Lazy: resolving the experiment registry imports every figure
-        # runner, which plain ``import repro`` should not pay for.
-        from repro.experiments import run_experiment
-        return run_experiment
     if name in _MOVED:
         raise AttributeError(
             f"{name!r} is not part of the stable public API of 'repro'; "
             f"import it from its home module instead: "
             f"'from {_MOVED[name]} import {name}'")
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    return _lazy_getattr(name)

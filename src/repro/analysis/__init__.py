@@ -1,14 +1,13 @@
-"""Measurement and reporting utilities."""
+"""Measurement and reporting utilities.
 
+:class:`OpRecord` / :class:`Telemetry` and the report tables import with
+the package; the timeline, utilisation and workload-comparison views
+load on first access.
+"""
+
+from repro._lazy import lazy_exports
 from repro.analysis.metrics import OpRecord, Telemetry
 from repro.analysis.report import Table, fmt_markdown_table
-from repro.analysis.timeline import Lane, Timeline, build_timeline
-from repro.analysis.utilisation import (
-    ResourceUsage,
-    UtilisationReport,
-    machine_utilisation,
-)
-from repro.analysis.workload import strategy_table
 
 __all__ = [
     "Lane",
@@ -23,3 +22,13 @@ __all__ = [
     "machine_utilisation",
     "strategy_table",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "Lane": "repro.analysis.timeline",
+    "ResourceUsage": "repro.analysis.utilisation",
+    "Timeline": "repro.analysis.timeline",
+    "UtilisationReport": "repro.analysis.utilisation",
+    "build_timeline": "repro.analysis.timeline",
+    "machine_utilisation": "repro.analysis.utilisation",
+    "strategy_table": "repro.analysis.workload",
+})

@@ -30,7 +30,7 @@ __all__ = ["OpRecord", "Telemetry"]
 _ZERO = (0, 0, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OpRecord:
     """One timed file operation."""
 

@@ -30,8 +30,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.analysis.timeline import build_timeline
-from repro.analysis.utilisation import machine_utilisation
 from repro.cluster.spec import MachineSpec
 from repro.experiments.common import (
     PROCS_PER_NODE,
@@ -40,7 +38,6 @@ from repro.experiments.common import (
 )
 from repro.sim.faults import FaultSpec
 from repro.units import MiB, fmt_bytes, fmt_rate, fmt_time
-from repro.workloads import MicroBench, VpicIO
 
 __all__ = ["main"]
 
@@ -120,6 +117,7 @@ def _print_fault_report(sim) -> None:
 
 
 def cmd_micro(args) -> int:
+    from repro.workloads.iobench import MicroBench
     sim, fstype = build_simulation(args.procs, args.system)
     _install_faults(sim, args)
     comm = sim.comm("iobench", size=args.procs)
@@ -146,6 +144,7 @@ def cmd_micro(args) -> int:
         print(f"  flush: {fmt_rate(flush_rate)}")
     print(f"  simulated time: {fmt_time(sim.now)}")
     if args.utilisation:
+        from repro.analysis.utilisation import machine_utilisation
         print("\nutilisation:")
         print(machine_utilisation(sim.machine).to_markdown(top=8))
     _print_fault_report(sim)
@@ -153,6 +152,7 @@ def cmd_micro(args) -> int:
 
 
 def cmd_vpic(args) -> int:
+    from repro.workloads.vpic import VpicIO
     sim, fstype = build_simulation(args.procs, args.system)
     _install_faults(sim, args)
     comm = sim.comm("vpic", size=args.procs)
@@ -165,6 +165,7 @@ def cmd_vpic(args) -> int:
           f"{fmt_time(sim.telemetry.total_time(op='flush-wait'))}")
     print(f"  total elapsed (incl. compute): {fmt_time(sim.now)}")
     if args.timeline:
+        from repro.analysis.timeline import build_timeline
         print("\ntimeline:")
         print(build_timeline(sim.telemetry,
                              ops=["write", "flush", "flush-wait"]).render())

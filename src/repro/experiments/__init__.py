@@ -5,21 +5,18 @@ process counts and whose columns are the figure's series, so the benchmark
 harness can print the same rows the paper plots and assert the ratio bands
 DESIGN.md records.
 
-Entry point: the registry.  Importing this package registers every figure
-runner (plus the multi-job ``"workload"`` comparison) by name, so
-``run_experiment("fig7", {"steps": 3})`` replaces hunting for per-module
-functions; the ``run_fig*`` names stay re-exported for compatibility.
+Entry point: the registry.  ``run_experiment("fig7", {"steps": 3})`` runs
+a figure by name, and :func:`list_experiments` names every figure runner
+plus the multi-job ``"workload"`` comparison; the registry imports the
+figure modules on first use, so importing this package loads none of
+them.  The ``run_fig*`` names stay re-exported for compatibility and load
+their module on first access.
 """
 
+from repro._lazy import lazy_exports
 from repro.experiments.registry import (list_experiments,
                                         register_experiment, run_experiment)
 from repro.experiments.common import PAPER_SWEEP, SMALL_SWEEP, build_simulation
-from repro.experiments.fig5 import run_fig5a, run_fig5b, run_fig5c
-from repro.experiments.fig6 import run_fig6a, run_fig6b, run_fig6c
-from repro.experiments.fig7 import run_fig7
-from repro.experiments.fig8 import run_fig8
-from repro.experiments.fig9 import run_fig9
-from repro.experiments.fig10 import run_fig10
 
 __all__ = [
     "PAPER_SWEEP",
@@ -39,3 +36,16 @@ __all__ = [
     "run_fig9",
     "run_fig10",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "run_fig5a": "repro.experiments.fig5",
+    "run_fig5b": "repro.experiments.fig5",
+    "run_fig5c": "repro.experiments.fig5",
+    "run_fig6a": "repro.experiments.fig6",
+    "run_fig6b": "repro.experiments.fig6",
+    "run_fig6c": "repro.experiments.fig6",
+    "run_fig7": "repro.experiments.fig7",
+    "run_fig8": "repro.experiments.fig8",
+    "run_fig9": "repro.experiments.fig9",
+    "run_fig10": "repro.experiments.fig10",
+})

@@ -1,8 +1,11 @@
 """The experiment registry: one named entry point per figure runner.
 
-Every ``experiments/fig*.py`` runner self-registers here at import time
-(importing :mod:`repro.experiments` populates the registry), so callers
-ask for experiments by name instead of hunting per-module functions::
+Every ``experiments/fig*.py`` runner self-registers here when its module
+is imported.  The registry names those modules in
+:data:`FIGURE_MODULES` and imports them on first use (listing, running or
+registering an experiment), so callers ask for experiments by name
+instead of hunting per-module functions, and nothing depends on which
+modules happen to be imported already::
 
     from repro import run_experiment
     table = run_experiment("fig7", {"steps": 3})
@@ -20,6 +23,7 @@ tooling should go through the registry (or ``repro figures``).
 from __future__ import annotations
 
 import warnings
+from importlib import import_module
 from typing import Callable, Dict, List, Mapping, Optional
 
 __all__ = [
@@ -28,7 +32,19 @@ __all__ = [
     "run_experiment",
 ]
 
+#: The figure-runner modules, each registering its runners on import.
+FIGURE_MODULES = ("fig5", "fig6", "fig7", "fig8", "fig9", "fig10")
+_BUILTIN_HOMES = frozenset([__name__] + [f"{__package__}.{module}"
+                                         for module in FIGURE_MODULES])
+
 _REGISTRY: Dict[str, Callable] = {}
+
+
+def _load_figures() -> None:
+    """Import every figure module (a no-op once imported), so every
+    built-in runner is registered."""
+    for module in FIGURE_MODULES:
+        import_module(f"{__package__}.{module}")
 
 
 def register_experiment(name: str, runner: Optional[Callable] = None):
@@ -37,6 +53,9 @@ def register_experiment(name: str, runner: Optional[Callable] = None):
         return lambda fn: register_experiment(name, fn)
     if not name or not isinstance(name, str):
         raise TypeError("experiment name must be a non-empty string")
+    if getattr(runner, "__module__", None) not in _BUILTIN_HOMES:
+        # A caller's runner must not take a figure's name first.
+        _load_figures()
     current = _REGISTRY.get(name)
     if current is not None and current is not runner:
         raise ValueError(f"experiment {name!r} already registered")
@@ -47,6 +66,7 @@ def register_experiment(name: str, runner: Optional[Callable] = None):
 def run_experiment(name: str, config: Optional[Mapping] = None):
     """Run a registered experiment; returns whatever the runner returns
     (a :class:`~repro.analysis.report.Table` for the figure runners)."""
+    _load_figures()
     try:
         runner = _REGISTRY[name]
     except KeyError:
@@ -56,6 +76,7 @@ def run_experiment(name: str, config: Optional[Mapping] = None):
 
 
 def list_experiments() -> List[str]:
+    _load_figures()
     return sorted(_REGISTRY)
 
 

@@ -13,13 +13,15 @@ same seams:
   Elevator and the plain-Lustre baseline all plug in as ADIO drivers, and
   are selected per job exactly like ``ROMIO_FSTYPE_FORCE`` selects them on
   a real system.
+
+The collective I/O path imports with the package; the datatypes and the
+point-to-point messaging layer load on first access.
 """
 
+from repro._lazy import lazy_exports
 from repro.simmpi.comm import Communicator
-from repro.simmpi.datatypes import BYTE, CHAR, DOUBLE, FLOAT, INT, Datatype
 from repro.simmpi.adio import ADIODriver, DriverRegistry, OpenContext
 from repro.simmpi.mpiio import File, IORequest
-from repro.simmpi.p2p import Message, MessageContext
 
 __all__ = [
     "ADIODriver",
@@ -37,3 +39,14 @@ __all__ = [
     "MessageContext",
     "OpenContext",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "BYTE": "repro.simmpi.datatypes",
+    "CHAR": "repro.simmpi.datatypes",
+    "DOUBLE": "repro.simmpi.datatypes",
+    "Datatype": "repro.simmpi.datatypes",
+    "FLOAT": "repro.simmpi.datatypes",
+    "INT": "repro.simmpi.datatypes",
+    "Message": "repro.simmpi.p2p",
+    "MessageContext": "repro.simmpi.p2p",
+})

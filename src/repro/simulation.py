@@ -19,15 +19,9 @@ Typical use (see ``examples/quickstart.py``)::
 from __future__ import annotations
 
 import warnings
-from typing import Any, Dict, Generator, Optional
+from typing import TYPE_CHECKING, Any, Dict, Generator, Optional
 
 from repro.analysis.metrics import Telemetry
-from repro.baselines.data_elevator import (
-    DataElevatorConfig,
-    DataElevatorDriver,
-    DataElevatorServers,
-)
-from repro.baselines.lustre_direct import LustreDirectDriver
 from repro.cluster.spec import MachineSpec
 from repro.cluster.topology import Machine
 from repro.core.client import UniviStorDriver
@@ -38,6 +32,11 @@ from repro.sim.faults import FaultInjector, FaultSpec
 from repro.simmpi.adio import DriverRegistry
 from repro.simmpi.comm import Communicator
 from repro.simmpi.mpiio import File
+
+if TYPE_CHECKING:
+    from repro.baselines.data_elevator import (DataElevatorConfig,
+                                               DataElevatorServers)
+    from repro.baselines.lustre_direct import LustreDirectDriver
 
 __all__ = ["Simulation"]
 
@@ -91,6 +90,9 @@ class Simulation:
         ``install_data_elevator(servers_per_node=2)`` still work but emit
         a :class:`DeprecationWarning` (see docs/API.md, "API stability").
         """
+        from repro.baselines.data_elevator import (DataElevatorConfig,
+                                                   DataElevatorDriver,
+                                                   DataElevatorServers)
         if self.data_elevator is not None:
             raise RuntimeError("Data Elevator already installed")
         if isinstance(config, int):
@@ -115,6 +117,7 @@ class Simulation:
         return self.data_elevator
 
     def install_lustre(self) -> LustreDirectDriver:
+        from repro.baselines.lustre_direct import LustreDirectDriver
         driver = LustreDirectDriver(self.machine, self.telemetry)
         self.registry.register(driver)
         return driver

@@ -20,22 +20,16 @@ Multi-job workloads (docs/MODEL.md §10):
 * :mod:`~repro.workloads.engine` — the multi-job orchestrator behind
   :func:`run_trace` / :func:`compare_strategies` and the kw-only
   :class:`WorkloadSpec`.
+
+The single-app kernels import with the package; the multi-job names load
+on first access.
 """
 
-# Single-app kernels first: the multi-job modules below may be imported
-# while this package is still initialising.
+from repro._lazy import lazy_exports
 from repro.workloads.hdf5sim import DatasetSpec, Hdf5Layout
 from repro.workloads.iobench import MicroBench
 from repro.workloads.vpic import VPIC_BYTES_PER_PROC_PER_STEP, VpicIO
 from repro.workloads.bdcats import BdCatsIO
-from repro.workloads.jobs import (Job, JobPhase, JobTrace, MIXES, PATTERNS,
-                                  generate_trace)
-from repro.workloads.strategies import (Allocation, BBPool, StorageScheduler,
-                                        available_strategies, make_strategy,
-                                        register_strategy)
-from repro.workloads.engine import (JobResult, TraceResult, WorkloadEngine,
-                                    WorkloadSpec, compare_strategies,
-                                    run_trace)
 
 __all__ = [
     "Allocation",
@@ -63,3 +57,28 @@ __all__ = [
     "register_strategy",
     "run_trace",
 ]
+
+_JOBS = "repro.workloads.jobs"
+_STRATEGIES = "repro.workloads.strategies"
+_ENGINE = "repro.workloads.engine"
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "Allocation": _STRATEGIES,
+    "BBPool": _STRATEGIES,
+    "Job": _JOBS,
+    "JobPhase": _JOBS,
+    "JobResult": _ENGINE,
+    "JobTrace": _JOBS,
+    "MIXES": _JOBS,
+    "PATTERNS": _JOBS,
+    "StorageScheduler": _STRATEGIES,
+    "TraceResult": _ENGINE,
+    "WorkloadEngine": _ENGINE,
+    "WorkloadSpec": _ENGINE,
+    "available_strategies": _STRATEGIES,
+    "compare_strategies": _ENGINE,
+    "generate_trace": _JOBS,
+    "make_strategy": _STRATEGIES,
+    "register_strategy": _STRATEGIES,
+    "run_trace": _ENGINE,
+})

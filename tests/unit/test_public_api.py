@@ -1,6 +1,11 @@
-"""The stable public surface of the top-level ``repro`` package."""
+"""The stable public surface of the top-level ``repro`` package, and
+the re-exports of the subpackages that resolve them on first access."""
 
+import ast
+import importlib
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -23,20 +28,31 @@ PUBLIC = [
     "run_trace",
 ]
 
+#: Packages whose ``__all__`` includes re-exports resolved on first
+#: access (``repro._lazy``).
+LAZY_PACKAGES = ["repro", "repro.analysis", "repro.experiments",
+                 "repro.simmpi", "repro.workloads"]
+
+ROOT = Path(__file__).resolve().parents[2]
+
 
 class TestPublicSurface:
     def test_all_is_exactly_the_documented_surface(self):
         assert sorted(repro.__all__) == PUBLIC
 
-    def test_star_import_yields_exactly_all(self):
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_star_import_yields_exactly_all(self, package):
         ns = {}
-        exec("from repro import *", ns)
+        exec(f"from {package} import *", ns)
         imported = sorted(k for k in ns if not k.startswith("__"))
-        assert imported == sorted(repro.__all__)
+        assert imported == sorted(importlib.import_module(package).__all__)
 
-    def test_every_public_name_resolves(self):
-        for name in repro.__all__:
-            assert getattr(repro, name) is not None
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_every_public_name_resolves(self, package):
+        pkg = importlib.import_module(package)
+        assert set(pkg.__all__) <= set(dir(pkg))
+        for name in pkg.__all__:
+            assert getattr(pkg, name) is not None
 
     def test_moved_symbol_error_names_new_home(self):
         with pytest.raises(AttributeError, match="from repro.core import "
@@ -52,6 +68,39 @@ class TestPublicSurface:
     def test_unknown_attribute_plain_error(self):
         with pytest.raises(AttributeError, match="no attribute 'bogus'"):
             repro.bogus
+
+
+def pyproject_tables():
+    """``pyproject.toml`` as {table: {key: raw value}}, one-line values
+    only (enough for the keys checked here, and no TOML parser needed
+    on Python 3.10)."""
+    tables, current = {}, None
+    for line in (ROOT / "pyproject.toml").read_text().splitlines():
+        header = re.fullmatch(r"\[([\w.-]+)\]", line.strip())
+        if header:
+            current = tables.setdefault(header.group(1), {})
+        elif "=" in line and current is not None and line[0].isalpha():
+            key, value = line.split("=", 1)
+            current[key.strip()] = value.strip()
+    return tables
+
+
+class TestVersion:
+    def test_package_version_is_the_single_source(self):
+        tables = pyproject_tables()
+        assert "version" not in tables["project"]
+        assert '"version"' in tables["project"]["dynamic"]
+        assert tables["tool.setuptools.dynamic"]["version"] == (
+            '{ attr = "repro.__version__" }')
+
+    def test_version_is_a_static_literal(self):
+        """setuptools reads ``attr`` versions statically when the value is
+        a plain string assignment, without importing the package."""
+        tree = ast.parse(Path(repro.__file__).read_text())
+        literals = [node.value.value for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and ast.unparse(node.targets[0]) == "__version__"]
+        assert literals == [repro.__version__]
 
 
 class TestConfigKeywordOnly:

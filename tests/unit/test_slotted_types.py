@@ -12,6 +12,7 @@ import pickle
 
 import pytest
 
+from repro.analysis.metrics import OpRecord
 from repro.core.config import StorageTier
 from repro.core.dhp import Chunk, DHPWriter, LogFile, PlacedSegment
 from repro.core.metadata import MetadataRecord
@@ -38,6 +39,8 @@ VALUES = [
     (PatternPayload(11), {"seed": 12}),
     (BytesPayload(b"abc"), {"data": b"xyz"}),
     (CorruptPayload(6), {"token": 7}),
+    (OpRecord("app", "write", "/f", 1.0, 2.5, 64.0, "univistor"),
+     {"t_end": 3.0}),
 ]
 
 
