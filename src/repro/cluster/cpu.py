@@ -80,6 +80,10 @@ class CorePlacement:
     #: Which processes are currently parked on borrowed server cores
     #: (only meaningful for interference-aware oversubscription).
     borrowed: List[Tuple[str, int]] = field(default_factory=list)
+    #: :func:`placement_efficiency` results by (program, sensitivity,
+    #: idle programs), filled by :meth:`ComputeNode.efficiency`.
+    efficiencies: Dict[Tuple, float] = field(default_factory=dict,
+                                             repr=False, compare=False)
 
     def __post_init__(self):
         if not self.core_occupants:

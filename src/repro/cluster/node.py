@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
+from weakref import WeakValueDictionary
 
 from repro.cluster.cpu import (
     CorePlacement,
@@ -29,7 +30,9 @@ class ComputeNode:
     """
 
     def __init__(self, engine: Engine, node_id: int, machine_spec: MachineSpec,
-                 rng: StreamRNG):
+                 rng: StreamRNG, shared_placements: WeakValueDictionary):
+        """``shared_placements`` is the machine-wide map of
+        interference-aware placements (:attr:`Machine.shared_placements`)."""
         self.engine = engine
         self.node_id = node_id
         self.machine_spec = machine_spec
@@ -56,11 +59,10 @@ class ComputeNode:
         #: Files living in this node's memory/SSD (UniviStor logs).
         self.files = FileStore(name=f"node{node_id}")
         self._programs: Dict[str, ProgramOnNode] = {}
+        #: This node's placements by (policy, flush state, program mix);
+        #: its strong references keep the shared entries alive.
         self._placement_cache: Dict[Tuple, CorePlacement] = {}
-        #: Bumped on every register/unregister; an O(1) stand-in for the
-        #: co-resident program set in downstream cache keys (multi-job
-        #: runs change tenancy mid-simulation).
-        self.tenancy_epoch = 0
+        self._shared_placements = shared_placements
         #: True while a server-side flush is running on this node (drives
         #: the Fig. 4d migration in the interference-aware policy).
         self.flush_active = False
@@ -73,12 +75,10 @@ class ComputeNode:
             return
         self._programs[name] = ProgramOnNode(name, nprocs, kind)
         self._placement_cache.clear()
-        self.tenancy_epoch += 1
 
     def unregister_program(self, name: str) -> None:
         self._programs.pop(name, None)
         self._placement_cache.clear()
-        self.tenancy_epoch += 1
 
     def programs(self) -> List[ProgramOnNode]:
         return list(self._programs.values())
@@ -92,20 +92,29 @@ class ComputeNode:
 
     # -- placement / interference ------------------------------------------
     def placement(self, policy: PlacementPolicy) -> CorePlacement:
-        """Current placement of all registered programs under ``policy``."""
+        """Current placement of all registered programs under ``policy``.
+
+        An interference-aware placement depends only on the program mix
+        (in registration order) and the flush state, so nodes with the
+        same mix share one object.  A CFS placement draws from this
+        node's RNG stream and stays per node.
+        """
         key = (policy, self.flush_active,
-               tuple(sorted((p.name, p.nprocs, p.kind)
-                            for p in self._programs.values())))
+               tuple((p.name, p.nprocs, p.kind)
+                     for p in self._programs.values()))
         cached = self._placement_cache.get(key)
         if cached is not None:
             return cached
-        programs = self.programs()
         if policy is PlacementPolicy.INTERFERENCE_AWARE:
-            placement = CorePlacement.place_interference_aware(
-                self.spec, programs, flush_active=self.flush_active)
+            placement = self._shared_placements.get(key)
+            if placement is None:
+                placement = CorePlacement.place_interference_aware(
+                    self.spec, self.programs(),
+                    flush_active=self.flush_active)
+                self._shared_placements[key] = placement
         else:
             placement = CorePlacement.place_cfs(
-                self.spec, programs,
+                self.spec, self.programs(),
                 self.rng.stream(f"cfs.node{self.node_id}"),
                 spec=self.machine_spec.scheduling)
         self._placement_cache[key] = placement
@@ -114,11 +123,16 @@ class ComputeNode:
     def efficiency(self, program: str, policy: PlacementPolicy,
                    sensitivity: float = 1.0,
                    idle_programs: frozenset = frozenset()) -> float:
-        """Scheduling-derived throughput factor for ``program`` on this node."""
-        return placement_efficiency(
-            self.placement(policy), program,
-            self.machine_spec.scheduling, sensitivity=sensitivity,
-            idle_programs=idle_programs)
+        """Scheduling-derived throughput factor for ``program`` on this
+        node, computed once per placement and query."""
+        placement = self.placement(policy)
+        key = (program, sensitivity, idle_programs)
+        eff = placement.efficiencies.get(key)
+        if eff is None:
+            eff = placement.efficiencies[key] = placement_efficiency(
+                placement, program, self.machine_spec.scheduling,
+                sensitivity=sensitivity, idle_programs=idle_programs)
+        return eff
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ComputeNode {self.node_id} programs={list(self._programs)}>"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from typing import List, Optional
+from weakref import WeakValueDictionary
 
 from repro.cluster.network import Interconnect
 from repro.cluster.node import ComputeNode
@@ -39,8 +40,12 @@ class Machine:
         self.engine = engine
         self.spec = spec or MachineSpec()
         self.rng = StreamRNG(self.spec.seed)
+        #: Interference-aware placements shared by every node with the
+        #: same program mix; an entry lives while some node caches it.
+        self.shared_placements: WeakValueDictionary = WeakValueDictionary()
         self.nodes: List[ComputeNode] = [
-            ComputeNode(engine, i, self.spec, self.rng.spawn(f"node{i}"))
+            ComputeNode(engine, i, self.spec, self.rng.spawn(f"node{i}"),
+                        self.shared_placements)
             for i in range(self.spec.nodes)
         ]
         self.network = Interconnect(engine, self.spec.network,

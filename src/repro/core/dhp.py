@@ -11,15 +11,19 @@ inside a chunk log-structured.  A **free-chunk stack** records reusable
 chunk IDs: a fully dead chunk (all its bytes overwritten or deleted) is
 pushed back and reused before fresh chunks are taken.
 
-A log's capacity, and so its VA window (Eq. 1), is fixed when the writer
-is built; its backing file and chunk lists appear on its first append.
+Chunk state is derived, not stored per chunk.  Every allocated chunk
+except the *active* one (the chunk being appended to) is full, so a
+chunk's used bytes are ``chunk_size`` or the active watermark; its live
+bytes are used bytes minus the dead bytes a sparse map records on the
+first free.  A log's capacity, and so its VA window (Eq. 1), is fixed
+when the writer is built; its backing file appears on its first append.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import StorageTier
 from repro.core.va import VirtualAddressSpace
@@ -28,10 +32,6 @@ from repro.storage.device import CapacityError, StorageDevice
 from repro.storage.posix import SimFile
 
 __all__ = ["Chunk", "LogFile", "PlacedSegment", "DHPWriter", "LogFullError"]
-
-
-#: Chunk lists of a log nothing was appended to yet (shared, immutable).
-_UNOPENED: Tuple = ()
 
 
 class LogFullError(RuntimeError):
@@ -73,13 +73,13 @@ class LogFile:
     the same DRAM/BB space).  ``sim_file`` holds the real bytes: either
     the :class:`SimFile` itself or ``open_file(tier) -> SimFile``, called
     on the first append.  A layer no byte ever reaches then creates no
-    file and no chunk lists (its VA window is fixed by ``capacity``
-    alone, Eq. 1).
+    file (its VA window is fixed by ``capacity`` alone, Eq. 1).
     """
 
     __slots__ = ("tier", "capacity", "chunk_size", "device", "max_chunks",
-                 "_file", "_open_file", "_chunk_used", "_chunk_live",
-                 "_free_stack", "_active", "bytes_written", "bytes_live")
+                 "_file", "_open_file", "allocated_chunks", "_active",
+                 "_active_used", "_dead", "_free_stack", "bytes_written",
+                 "bytes_live")
 
     def __init__(self, tier: StorageTier, capacity: float, chunk_size: float,
                  sim_file: Union[SimFile, Callable[[StorageTier], SimFile]],
@@ -100,13 +100,15 @@ class LogFile:
         else:
             self._file = None
             self._open_file = sim_file
-        #: Bytes appended per allocated chunk, indexed by chunk id; this
-        #: and the two lists below become real lists on the first append.
-        self._chunk_used: Sequence[float] = _UNOPENED
-        #: Live (not-yet-freed) bytes per chunk.
-        self._chunk_live: Sequence[float] = _UNOPENED
-        self._free_stack: Sequence[int] = _UNOPENED
+        #: Chunks ever minted; ids ``0 .. allocated_chunks - 1``.
+        self.allocated_chunks = 0
         self._active: Optional[int] = None  # chunk being appended to
+        #: Bytes appended to the active chunk (every other chunk is full).
+        self._active_used = 0.0
+        #: Freed bytes per chunk id and the reusable chunk ids; both
+        #: appear on the first free.
+        self._dead: Optional[Dict[int, float]] = None
+        self._free_stack: Sequence[int] = ()
         self.bytes_written = 0.0
         self.bytes_live = 0.0
 
@@ -117,27 +119,21 @@ class LogFile:
         one, so readers resolving a record never see ``None``."""
         return self._file
 
-    def _open(self) -> None:
-        """First append: create the backing file and the chunk lists."""
-        if self._file is None:
-            self._file = self._open_file(self.tier)
-            self._open_file = None
-        self._chunk_used = []
-        self._chunk_live = []
-        self._free_stack = []
-
     # -- queries ---------------------------------------------------------
-    @property
-    def allocated_chunks(self) -> int:
-        return len(self._chunk_used)
-
     @property
     def free_stack(self) -> List[int]:
         return list(self._free_stack)
 
+    def _used(self, chunk_id: int) -> float:
+        return (self._active_used if chunk_id == self._active
+                else self.chunk_size)
+
     def chunk(self, chunk_id: int) -> Chunk:
-        return Chunk(chunk_id, self._chunk_used[chunk_id],
-                     self._chunk_live[chunk_id])
+        if not 0 <= chunk_id < self.allocated_chunks:
+            raise IndexError(f"chunk {chunk_id} is not allocated")
+        used = self._used(chunk_id)
+        dead = self._dead.get(chunk_id, 0.0) if self._dead else 0.0
+        return Chunk(chunk_id, used, used - dead)
 
     def remaining_in_log(self) -> float:
         """Space the log could still accept (ignoring device pressure)."""
@@ -145,7 +141,7 @@ class LogFile:
             return math.inf
         remaining = 0.0
         if self._active is not None:
-            remaining += self.chunk_size - self._chunk_used[self._active]
+            remaining += self.chunk_size - self._active_used
         fresh = self.max_chunks - self.allocated_chunks
         remaining += (fresh + len(self._free_stack)) * self.chunk_size
         return remaining
@@ -155,8 +151,7 @@ class LogFile:
         """Pop a free chunk or mint a fresh one; charges the device."""
         if self._free_stack:
             cid = self._free_stack.pop()
-            self._chunk_used[cid] = 0.0
-            self._chunk_live[cid] = 0.0
+            del self._dead[cid]  # a reused chunk starts a new life
             return cid
         if self.allocated_chunks >= self.max_chunks:
             raise LogFullError(f"log on {self.tier.value} is full")
@@ -165,8 +160,7 @@ class LogFile:
                 self.device.allocate(self.chunk_size)
             except CapacityError as err:
                 raise LogFullError(str(err)) from None
-        self._chunk_used.append(0.0)
-        self._chunk_live.append(0.0)
+        self.allocated_chunks += 1
         return self.allocated_chunks - 1
 
     def append(self, length: int, payload: Payload,
@@ -181,8 +175,10 @@ class LogFile:
         """
         if length <= 0:
             raise ValueError(f"append length must be positive, got {length}")
-        if self._chunk_used is _UNOPENED:
-            self._open()
+        if self._file is None:
+            self._file = self._open_file(self.tier)
+            self._open_file = None
+        chunk_size = self.chunk_size
         runs: List[Tuple[float, int]] = []
         placed = 0
         while placed < length:
@@ -196,39 +192,28 @@ class LogFile:
                     if batch is not None:
                         first, n_chunks = batch
                         take = int(min(length - placed,
-                                       n_chunks * self.chunk_size))
-                        addr = first * self.chunk_size
-                        self._record_run(runs, addr, take, payload,
-                                         payload_offset + placed)
+                                       n_chunks * chunk_size))
+                        self._record_run(runs, first * chunk_size, take,
+                                         payload, payload_offset + placed)
                         placed += take
-                        # Account per-chunk usage for the batch.
-                        full, rem = divmod(take, int(self.chunk_size))
-                        for i in range(n_chunks):
-                            used = (self.chunk_size if i < full
-                                    else (rem if i == full else 0.0))
-                            self._chunk_used[first + i] = used
-                            self._chunk_live[first + i] = used
-                        last = first + n_chunks - 1
-                        if self._chunk_used[last] < self.chunk_size:
-                            self._active = last
+                        # Every chunk of the batch but the last is full.
+                        last_used = take - (n_chunks - 1) * chunk_size
+                        if last_used < chunk_size:
+                            self._active = first + n_chunks - 1
+                            self._active_used = last_used
                         continue
                 try:
                     self._active = self._take_chunk()
                 except LogFullError:
                     break
-            used = self._chunk_used[self._active]
-            space = self.chunk_size - used
-            if space <= 0:
-                self._active = None
-                continue
-            take = int(min(space, length - placed))
-            addr = self._active * self.chunk_size + used
-            self._record_run(runs, addr, take, payload,
-                             payload_offset + placed)
-            self._chunk_used[self._active] += take
-            self._chunk_live[self._active] += take
+                self._active_used = 0.0
+            used = self._active_used
+            take = int(min(chunk_size - used, length - placed))
+            self._record_run(runs, self._active * chunk_size + used, take,
+                             payload, payload_offset + placed)
+            self._active_used = used + take
             placed += take
-            if self._chunk_used[self._active] >= self.chunk_size:
+            if self._active_used >= chunk_size:
                 self._active = None
         return runs
 
@@ -264,14 +249,17 @@ class LogFile:
                 return None
             self.device.allocate(want * self.chunk_size)
         first = self.allocated_chunks
-        self._chunk_used.extend([0.0] * want)
-        self._chunk_live.extend([0.0] * want)
+        self.allocated_chunks += want
         return first, want
 
     def free_segment(self, physical_address: float, length: int) -> None:
         """Mark bytes dead; fully dead chunks go back on the free stack."""
         if length <= 0:
             return
+        if self._dead is None:
+            self._dead = {}
+            self._free_stack = []
+        dead = self._dead
         remaining = length
         addr = physical_address
         while remaining > 0:
@@ -281,14 +269,15 @@ class LogFile:
                     f"free of unallocated chunk {cid} (address {addr})")
             in_chunk = min(remaining,
                            self.chunk_size - (addr - cid * self.chunk_size))
-            self._chunk_live[cid] -= in_chunk
+            gone = dead.get(cid, 0.0) + in_chunk
+            dead[cid] = gone
             self.bytes_live -= in_chunk
-            if self._chunk_live[cid] < -1e-6:
+            live = self._used(cid) - gone
+            if live < -1e-6:
                 raise ValueError(f"chunk {cid} live bytes went negative")
-            if (self._chunk_live[cid] <= 1e-6
-                    and self._chunk_used[cid] >= self.chunk_size - 1e-6
-                    and cid != self._active):
-                # Chunk fully written and fully dead: reusable (§II-B1).
+            if live <= 1e-6 and cid != self._active:
+                # Chunk fully written (only the active one is not) and
+                # fully dead: reusable (§II-B1).
                 if cid not in self._free_stack:
                     self._free_stack.append(cid)
             addr += in_chunk

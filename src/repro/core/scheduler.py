@@ -39,6 +39,7 @@ class SchedulerService:
         self.policy = (PlacementPolicy.INTERFERENCE_AWARE
                        if config.interference_aware
                        else PlacementPolicy.CFS)
+        self._idle = frozenset({server_program})
         self._flush_depth = 0
         self._cache: Dict[Tuple, float] = {}
 
@@ -48,22 +49,12 @@ class SchedulerService:
         """Throughput factor for ``program``'s collective ``op`` on ``node``.
 
         UniviStor servers are blocked while clients move data into the
-        shared-memory logs, so they count as idle co-runners.
+        shared-memory logs, so they count as idle co-runners.  The node
+        memoises the factor on its current placement.
         """
-        sensitivity = _SENSITIVITY[op]
-        idle = frozenset({self.server_program})
-        # The tenancy epoch keys the co-resident program set: multi-job
-        # runs register/unregister programs mid-simulation, and a factor
-        # cached for one tenancy mix is wrong for the next.
-        key = ("client", node.node_id, program, op, node.flush_active,
-               self.policy, node.tenancy_epoch)
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = node.efficiency(program, self.policy,
-                                     sensitivity=sensitivity,
-                                     idle_programs=idle)
-            self._cache[key] = cached
-        return cached
+        return node.efficiency(program, self.policy,
+                               sensitivity=_SENSITIVITY[op],
+                               idle_programs=self._idle)
 
     def flush_efficiency(self, node: ComputeNode) -> float:
         """CPU-availability factor for this node's flushing servers."""

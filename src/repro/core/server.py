@@ -158,6 +158,9 @@ class UniviStorServers:
         #: reservations); consulted by the c/p rule when
         #: ``config.bb_quota_enforced``.
         self.bb_quota: Dict[str, float] = {}
+        #: One immutable VA table per log shape (Eq. 1 depends on the
+        #: per-layer capacities alone), shared by every writer of it.
+        self._va_tables: Dict[tuple, VirtualAddressSpace] = {}
         #: Nodes whose local storage has been lost (resilience testing).
         self.failed_nodes: set = set()
         #: Server processes that have crashed (fault injection).
@@ -587,7 +590,10 @@ class UniviStorServers:
             logs.append(LogFile(tier, capacity, self.config.chunk_size,
                                 open_file, device=device))
             capacities.append(capacity)
-        vas = VirtualAddressSpace(tiers, capacities)
+        shape = (tuple(tiers), tuple(capacities))
+        vas = self._va_tables.get(shape)
+        if vas is None:
+            vas = self._va_tables[shape] = VirtualAddressSpace(*shape)
         return DHPWriter(rank, vas, logs)
 
     def _open_log(self, fid: int, rank: int, node: ComputeNode,

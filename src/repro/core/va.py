@@ -28,7 +28,9 @@ class VirtualAddressSpace:
 
     Built from the ordered per-layer log capacities fixed at file-open
     time (the c/p rule of §II-B1).  The last layer may be unbounded (the
-    PFS destination), expressed as ``float('inf')``.
+    PFS destination), expressed as ``float('inf')``.  A table is
+    immutable, so every process whose logs have the same tiers and
+    capacities can share one.
     """
 
     __slots__ = ("tiers", "capacities", "_bases")
@@ -51,7 +53,7 @@ class VirtualAddressSpace:
         bases: List[float] = [0.0]
         for c in self.capacities:
             bases.append(bases[-1] + c)
-        self._bases = bases
+        self._bases: Tuple[float, ...] = tuple(bases)
 
     @property
     def layers(self) -> int:

@@ -56,16 +56,18 @@ class StaleSpan:
 class VersionMap:
     """Interval map ``offset -> (version, epoch)`` with overwrite splice.
 
-    Spans are kept sorted and disjoint; bytes never stamped read back as
-    version 0 / epoch 0 (older than any real write, so an unstamped copy
-    can never satisfy a stamped authority).
+    Spans are kept sorted, disjoint and canonical: no two touching spans
+    share a ``(version, epoch)``, so a collective that stamps every
+    rank's block with one version leaves one span.  Bytes never stamped
+    read back as version 0 / epoch 0 (older than any real write, so an
+    unstamped copy can never satisfy a stamped authority).
     """
 
     __slots__ = ("_spans",)
 
     def __init__(self):
-        # [start, end, version, epoch], sorted by start, disjoint.
-        self._spans: List[List[int]] = []
+        # (start, end, version, epoch), sorted by start, disjoint.
+        self._spans: List[Tuple[int, int, int, int]] = []
 
     def __len__(self) -> int:
         return len(self._spans)
@@ -78,21 +80,29 @@ class VersionMap:
             return
         start, end = int(offset), int(offset + length)
         spans = self._spans
-        # Splice only the overlapped window (spans are sorted and
-        # disjoint, so ends are sorted too): sessions accumulate one
-        # span per rank-block and a full-list rebuild per stamp turns
-        # a 1024-rank collective quadratic.
-        i = bisect_right(spans, start, key=_END)   # first span ending past start
-        j = bisect_left(spans, end, key=_START, lo=i)  # first span at/after end
-        replacement: List[List[int]] = []
-        if i < j and spans[i][0] < start:
+        # Splice only the window (spans are sorted and disjoint, so ends
+        # are sorted too): a full-list rebuild per stamp turns a
+        # many-rank collective quadratic.  spans[i:j] overlap or touch
+        # the window; an edge span with the same stamp is absorbed, so
+        # the map stays canonical, and any other keeps its outside part.
+        i = bisect_left(spans, start, key=_END)   # first span ending at/after start
+        j = bisect_right(spans, end, key=_START, lo=i)  # first span starting past end
+        head: List[Tuple[int, int, int, int]] = []
+        tail: List[Tuple[int, int, int, int]] = []
+        if i < j:
             s, _e, v, ep = spans[i]
-            replacement.append([s, start, v, ep])
-        replacement.append([start, end, version, epoch])
-        if i < j and spans[j - 1][1] > end:
+            if s < start:
+                if v == version and ep == epoch:
+                    start = s
+                else:
+                    head.append((s, start, v, ep))
             _s, e, v, ep = spans[j - 1]
-            replacement.append([end, e, v, ep])
-        spans[i:j] = replacement
+            if e > end:
+                if v == version and ep == epoch:
+                    end = e
+                else:
+                    tail.append((end, e, v, ep))
+        spans[i:j] = head + [(start, end, version, epoch)] + tail
 
     def spans(self, offset: int, length: int
               ) -> List[Tuple[int, int, int, int]]:

@@ -63,19 +63,28 @@ def test_zero_payload_stays_a_singleton():
     assert copy.deepcopy(ZeroPayload()) is ZeroPayload()
 
 
-def written_writer():
+def written_writers():
+    """Two ranks' writers sharing one VA table; the first has a dead
+    chunk on its free stack."""
     store = FileStore("s")
     vas = VirtualAddressSpace([StorageTier.DRAM, StorageTier.PFS],
                               [32.0, float("inf")])
-    logs = [LogFile(StorageTier.DRAM, 32, 8, store.create("/dram")),
-            LogFile(StorageTier.PFS, float("inf"), 8, store.create("/pfs"))]
-    writer = DHPWriter(0, vas, logs)
-    writer.write(0, 40, PatternPayload(1))  # spills 8 bytes to the PFS
-    return writer
+    writers = []
+    for rank in range(2):
+        logs = [LogFile(StorageTier.DRAM, 32, 8,
+                        store.create(f"/{rank}/dram")),
+                LogFile(StorageTier.PFS, float("inf"), 8,
+                        store.create(f"/{rank}/pfs"))]
+        writers.append(DHPWriter(rank, vas, logs))
+        writers[-1].write(0, 40, PatternPayload(1))  # spills 8 B to the PFS
+    writers[0].logs[0].free_segment(8.0, 8)
+    return writers
 
 
 def state(writer):
-    return ([(log.allocated_chunks, log.bytes_live,
+    return ([(log.allocated_chunks, log.bytes_live, log.free_stack,
+              [log.chunk(i) for i in range(log.allocated_chunks)],
+              log.remaining_in_log(),
               log.sim_file.read_bytes(0, log.sim_file.size))
              for log in writer.logs], writer.vas.capacities)
 
@@ -83,14 +92,20 @@ def state(writer):
 @pytest.mark.parametrize("clone", [lambda w: pickle.loads(pickle.dumps(w)),
                                    copy.deepcopy], ids=["pickle", "deepcopy"])
 def test_slotted_writer_state_round_trips(clone):
-    writer = written_writer()
+    writers = written_writers()
+    writer = writers[0]
     for obj in (writer, writer.vas, writer.logs[0], writer.logs[0].sim_file,
                 writer.logs[0].sim_file.data):
         assert not hasattr(obj, "__dict__")
-    twin = clone(writer)
-    assert state(twin) == state(writer)
-    # The copy is independent and still appends where the original would.
-    twin.write(40, 8, PatternPayload(2))
+    twins = clone(writers)
+    twin = twins[0]
+    assert [state(t) for t in twins] == [state(w) for w in writers]
+    # The shared VA table stays shared, and separate from the original.
+    assert twins[1].vas is twin.vas is not writer.vas
+    # The copy is independent and still appends where the original would:
+    # its DRAM log reuses the freed chunk.
+    assert twin.logs[0].append(8, PatternPayload(2)) == [(8.0, 8)]
     assert state(twin) != state(writer)
+    assert twin.logs[0].free_stack == [] and writer.logs[0].free_stack == [1]
     assert isinstance(twin.logs[0].sim_file, SimFile)
     assert isinstance(twin.logs[0].sim_file.data, ExtentMap)
