@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.spec import NodeSpec, SchedulingSpec
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PlacementPolicy",
@@ -35,7 +36,42 @@ __all__ = [
     "CorePlacement",
     "placement_efficiency",
     "cpu_availability",
+    "mean",
 ]
+
+
+def mean(xs: Sequence[float]) -> float:
+    """Arithmetic mean, bit-identical to ``numpy.mean`` of the same floats.
+
+    The sum follows numpy's pairwise order, so the rounding is the same.
+    """
+    return _pairwise_sum(xs, 0, len(xs)) / len(xs)
+
+
+def _pairwise_sum(xs: Sequence[float], lo: int, n: int) -> float:
+    """numpy's ``pairwise_sum`` of ``xs[lo:lo + n]``: in sequence under 8
+    elements, 8 accumulators up to 128, else halves split at a multiple
+    of 8."""
+    if n < 8:
+        res = 0.0
+        for i in range(lo, lo + n):
+            res += xs[i]
+        return res
+    if n <= 128:
+        r = list(xs[lo:lo + 8])
+        stop = lo + n - n % 8
+        for i in range(lo + 8, stop, 8):
+            for j in range(8):
+                r[j] += xs[i + j]
+        res = (((r[0] + r[1]) + (r[2] + r[3]))
+               + ((r[4] + r[5]) + (r[6] + r[7])))
+        for i in range(stop, lo + n):
+            res += xs[i]
+        return res
+    half = n // 2
+    half -= half % 8
+    return (_pairwise_sum(xs, lo, half)
+            + _pairwise_sum(xs, lo + half, n - half))
 
 
 class PlacementPolicy(enum.Enum):
@@ -151,7 +187,7 @@ class CorePlacement:
                 candidates = rng.integers(0, node.cores_per_socket, size=2)
                 loads = [len(placement.core_occupants[base + int(c)])
                          for c in candidates]
-                core = base + int(candidates[int(np.argmin(loads))])
+                core = base + int(candidates[loads.index(min(loads))])
                 placement.core_occupants[core].append((prog.name, idx))
                 last_socket[prog.name] = socket
         return placement
@@ -181,7 +217,7 @@ class CorePlacement:
         overflow: List[Tuple[str, int, str]] = []
 
         def least_loaded_socket() -> int:
-            return int(np.argmin(socket_load))
+            return socket_load.index(min(socket_load))
 
         # Pass 1: spread every program across sockets onto free cores.
         for prog in programs:
@@ -294,9 +330,8 @@ def placement_efficiency(placement: CorePlacement, program: str,
                 cpu *= scheduling.cross_program_factor
         rates.append(min(mem_rate, ideal_rate * node.numa_sockets) * cpu)
 
-    rates_arr = np.asarray(rates)
-    blended = (straggler_weight * rates_arr.min()
-               + (1.0 - straggler_weight) * rates_arr.mean())
+    blended = (straggler_weight * min(rates)
+               + (1.0 - straggler_weight) * mean(rates))
     eff = min(1.0, blended / ideal_rate)
     if placement.policy is PlacementPolicy.INTERFERENCE_AWARE:
         eff = min(eff, 1.0) * scheduling.ia_overhead_factor
@@ -337,8 +372,8 @@ def cpu_availability(placement: CorePlacement, program: str,
             if any(other != program for other in occupants):
                 share *= scheduling.cross_program_factor
         shares.append(share)
-    arr = np.asarray(shares)
-    blended = straggler_weight * arr.min() + (1 - straggler_weight) * arr.mean()
+    blended = (straggler_weight * min(shares)
+               + (1 - straggler_weight) * mean(shares))
     if placement.policy is PlacementPolicy.INTERFERENCE_AWARE:
         blended *= scheduling.ia_overhead_factor
     eff = blended ** sensitivity if sensitivity > 0 else 1.0

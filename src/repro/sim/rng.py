@@ -8,14 +8,19 @@ standard trick for reproducible parallel simulations.
 from __future__ import annotations
 
 import hashlib
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["StreamRNG"]
 
 
 class StreamRNG:
     """A family of independent, named ``numpy`` generators.
+
+    numpy is imported when the first stream is created, so a run that
+    never draws a random number never loads it.
 
     >>> rng = StreamRNG(seed=7)
     >>> a = rng.stream("lustre.ost").integers(0, 10)
@@ -35,6 +40,7 @@ class StreamRNG:
             digest = hashlib.sha256(
                 f"{self.seed}:{name}".encode()).digest()
             child_seed = int.from_bytes(digest[:8], "little")
+            import numpy as np
             gen = np.random.default_rng(child_seed)
             self._streams[name] = gen
         return gen

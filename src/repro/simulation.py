@@ -18,7 +18,6 @@ Typical use (see ``examples/quickstart.py``)::
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Any, Dict, Generator, Optional
 
 from repro.analysis.metrics import Telemetry
@@ -79,37 +78,21 @@ class Simulation:
         return self.univistor
 
     def install_data_elevator(self,
-                              config: Optional[DataElevatorConfig] = None,
-                              servers_per_node: Optional[int] = None
+                              config: Optional[DataElevatorConfig] = None
                               ) -> DataElevatorServers:
         """Launch the Data Elevator baseline and register its driver.
 
         Takes a :class:`~repro.baselines.data_elevator.DataElevatorConfig`,
-        mirroring :meth:`install_univistor`.  The pre-2.0 call forms
-        ``install_data_elevator(2)`` and
-        ``install_data_elevator(servers_per_node=2)`` still work but emit
-        a :class:`DeprecationWarning` (see docs/API.md, "API stability").
+        mirroring :meth:`install_univistor`.
         """
         from repro.baselines.data_elevator import (DataElevatorConfig,
                                                    DataElevatorDriver,
                                                    DataElevatorServers)
         if self.data_elevator is not None:
             raise RuntimeError("Data Elevator already installed")
-        if isinstance(config, int):
-            warnings.warn(
-                "install_data_elevator(servers_per_node) is deprecated; "
-                "pass DataElevatorConfig(servers_per_node=...) instead",
-                DeprecationWarning, stacklevel=2)
-            config = DataElevatorConfig(servers_per_node=config)
-        elif servers_per_node is not None:
-            if config is not None:
-                raise TypeError("pass either a DataElevatorConfig or "
-                                "servers_per_node=, not both")
-            warnings.warn(
-                "install_data_elevator(servers_per_node=...) is deprecated; "
-                "pass DataElevatorConfig(servers_per_node=...) instead",
-                DeprecationWarning, stacklevel=2)
-            config = DataElevatorConfig(servers_per_node=servers_per_node)
+        if config is not None and not isinstance(config, DataElevatorConfig):
+            raise TypeError(f"expected a DataElevatorConfig, got "
+                            f"{type(config).__name__}")
         self.data_elevator = DataElevatorServers(
             self.machine, config or DataElevatorConfig())
         self.registry.register(DataElevatorDriver(self.data_elevator,

@@ -23,8 +23,6 @@ import bisect
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
-import numpy as np
-
 __all__ = [
     "Payload",
     "BytesPayload",
@@ -34,6 +32,37 @@ __all__ = [
     "Extent",
     "ExtentMap",
 ]
+
+
+_RAMP = bytes(range(256))
+
+
+def _add(k: int) -> bytes:
+    """Translation table adding ``k`` to every byte, modulo 256."""
+    k &= 0xFF
+    return _RAMP[k:] + _RAMP[:k]
+
+
+def _cycle(period: bytes, offset: int, length: int) -> bytes:
+    """``length`` bytes of ``period`` repeated, from ``offset`` in it."""
+    if length <= 0:
+        return b""
+    end = offset + length
+    n = len(period)
+    if end <= n:
+        return period[offset:end]
+    return (period[offset:] + period * (end // n - 1)
+            + period[:end % n])
+
+
+#: Low byte of ``i * 2654435761`` (and of ``i * 2246822519``) for
+#: ``i`` in ``0..255``; only ``i & 0xFF`` matters.
+_PATTERN_ROW = bytes(i * 177 & 0xFF for i in range(256))
+_CORRUPT_ROW = bytes(i * 119 & 0xFF for i in range(256))
+#: Rows ``k = 0..255`` of the pattern, back to back: row ``k`` is the
+#: base row plus ``k``.
+_PATTERN_PERIOD = b"".join(_PATTERN_ROW.translate(_add(k))
+                           for k in range(256))
 
 
 class Payload:
@@ -77,22 +106,25 @@ class BytesPayload(Payload):
 class PatternPayload(Payload):
     """A deterministic infinite byte stream identified by ``seed``.
 
-    Byte ``i`` of stream ``s`` is ``sha``-free and vectorised:
+    Byte ``i`` of stream ``s`` is
     ``(i * 2654435761 + s * 40503 + (i >> 8)) & 0xFF`` — cheap, stable
     across runs, and differing seeds disagree almost everywhere, so payload
-    mix-ups are caught by materialised comparisons in tests.
+    mix-ups are caught by materialised comparisons in tests.  Only the low
+    byte matters, so byte ``i`` is ``(i & 0xFF) * 177 + k`` for the row
+    key ``k = (s * 40503 + (i >> 8)) & 0xFF``: the stream is table-driven,
+    a run of precomputed 256-byte rows with period 65 536.
     """
 
     seed: int
 
     def materialize(self, start: int, length: int) -> bytes:
+        start, length = int(start), int(length)
         if start < 0:
             raise IndexError(f"negative payload offset {start}")
-        idx = np.arange(start, start + length, dtype=np.uint64)
-        vals = (idx * np.uint64(2654435761)
-                + np.uint64(self.seed * 40503)
-                + (idx >> np.uint64(8)))
-        return (vals & np.uint64(0xFF)).astype(np.uint8).tobytes()
+        # Row k starts at offset k << 8 of the period, so the stream is
+        # the period rotated by the seed's row key.
+        return _cycle(_PATTERN_PERIOD,
+                      (start + (self.seed * 40503 << 8)) & 0xFFFF, length)
 
     def same_source(self, other: Payload) -> bool:
         return isinstance(other, PatternPayload) and self.seed == other.seed
@@ -118,12 +150,13 @@ class CorruptPayload(Payload):
     token: int
 
     def materialize(self, start: int, length: int) -> bytes:
+        start, length = int(start), int(length)
         if start < 0:
             raise IndexError(f"negative payload offset {start}")
-        idx = np.arange(start, start + length, dtype=np.uint64)
-        vals = (idx * np.uint64(2246822519)
-                + np.uint64(self.token * 65599) + np.uint64(0xB17F))
-        return (vals & np.uint64(0xFF)).astype(np.uint8).tobytes()
+        # Byte i is (i * 2246822519 + token * 65599 + 0xB17F) & 0xFF: one
+        # 256-byte row, repeated.
+        row = _CORRUPT_ROW.translate(_add(self.token * 65599 + 0xB17F))
+        return _cycle(row, start & 0xFF, length)
 
     def same_source(self, other: Payload) -> bool:
         return isinstance(other, CorruptPayload) and self.token == other.token

@@ -25,13 +25,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, List, Optional
 
-import numpy as np
-
+from repro.cluster.cpu import mean
 from repro.cluster.spec import LustreSpec
 from repro.sim.engine import Engine, Event
 from repro.storage.device import StorageDevice
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["StripingLayout", "LustreFS"]
 
@@ -77,11 +79,11 @@ class StripingLayout:
     @property
     def stripe_count_per_writer(self) -> float:
         """Mean number of OSTs a writer touches."""
-        return float(np.mean([len(s) for s in self.ost_sets]))
+        return sum(len(s) for s in self.ost_sets) / len(self.ost_sets)
 
-    def ost_loads(self) -> np.ndarray:
+    def ost_loads(self) -> List[float]:
         """Byte-weighted writer load per OST (even split by default)."""
-        loads = np.zeros(self.osts)
+        loads = [0.0] * self.osts
         for w, s in enumerate(self.ost_sets):
             if self.weights is not None:
                 for o, share in zip(s, self.weights[w]):
@@ -93,15 +95,14 @@ class StripingLayout:
         return loads
 
     def engaged_osts(self) -> int:
-        return int(np.count_nonzero(self.ost_loads()))
+        return sum(1 for load in self.ost_loads() if load)
 
     def imbalance(self) -> float:
         """max OST load / mean *engaged* OST load (>= 1; 1 = balanced)."""
-        loads = self.ost_loads()
-        engaged = loads[loads > 0]
-        if engaged.size == 0:
+        engaged = [load for load in self.ost_loads() if load > 0]
+        if not engaged:
             return 1.0
-        return float(engaged.max() / engaged.mean())
+        return max(engaged) / mean(engaged)
 
     # -- canned layouts -----------------------------------------------------
     @staticmethod

@@ -1,5 +1,8 @@
 """Optional subsystems load on first use, not on import.
 
+numpy is deferred too: only seeded random streams need it, so the default
+I/O path (import, a collective write and a verified read) never loads it.
+
 Each check runs in a fresh interpreter: within one pytest process,
 earlier tests have usually imported every module already, which would
 hide an eager import (or a registry that only works because of one).
@@ -67,6 +70,39 @@ def test_import_loads_no_deferred_module(statement):
     loaded = loaded_after(statement)
     assert not loaded & DEFERRED
     assert EAGER_CORE <= loaded
+
+
+#: A 64-rank UniviStor/DRAM write and verified read, as ``micro`` runs it.
+MICRO_64 = """
+from repro.experiments.common import build_simulation
+from repro.units import MiB
+from repro.workloads.iobench import MicroBench
+sim, fstype = build_simulation(64, "UniviStor/DRAM")
+bench = MicroBench(sim, sim.comm("micro", size=64), "/pfs/micro.h5",
+                   fstype, 4 * MiB)
+def app():
+    yield from bench.write_phase()
+    return (yield from bench.read_phase(verify=True))
+sim.run_to_completion(app(), name="micro")
+"""
+
+
+def numpy_loaded_after(statement: str) -> bool:
+    return fresh(f"import json, sys\n{statement}\n"
+                 "print(json.dumps(sys.modules.get('numpy') is not None))")
+
+
+@pytest.mark.parametrize("statement", [
+    "import repro", "import repro.cli", MICRO_64],
+    ids=["import-repro", "import-cli", "micro-64"])
+def test_default_io_path_leaves_numpy_unloaded(statement):
+    assert not numpy_loaded_after(statement)
+
+
+def test_first_random_stream_loads_numpy():
+    pytest.importorskip("numpy")
+    assert numpy_loaded_after(
+        "from repro import chaos\nchaos.run_one(1, hardened=True)")
 
 
 def test_first_access_loads_the_home_module():
