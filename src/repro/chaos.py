@@ -486,9 +486,7 @@ def run_one(seed: int, hardened: bool = True,
     result = ChaosRunResult(seed=seed, hardened=hardened, mix=mix)
     rng = StreamRNG(seed)
     cfg = config if config is not None else _config(hardened, mix)
-    sim = Simulation(MachineSpec.small_test(nodes=NODES),
-                     engine_shards=cfg.engine_shards,
-                     engine_bucket_width=cfg.engine_bucket_width)
+    sim = Simulation(MachineSpec.small_test(nodes=NODES))
     system = sim.install_univistor(cfg)
     comm = sim.comm("chaos", NODES * PROCS_PER_NODE,
                     procs_per_node=PROCS_PER_NODE)

@@ -3,12 +3,36 @@
 from __future__ import annotations
 
 import enum
+import sys
+import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from repro.units import MiB
 
 __all__ = ["StorageTier", "UniviStorConfig"]
+
+#: Warning text for the engine-layout knobs kept for one grace window
+#: (``engine_shards`` / ``engine_bucket_width`` here and on
+#: ``Simulation``, and ``Simulation.spawn(shard=)``).
+ENGINE_LAYOUT_DEPRECATION = (
+    "engine_shards, engine_bucket_width and shard= are deprecated and "
+    "ignored: the event engine has one layout, a single (time, seq) "
+    "heap; drop the argument")
+
+
+def _warn_deprecated(message: str) -> None:
+    """Warn at the first frame outside this module and ``dataclasses``,
+    so a field set through a canned constructor, :meth:`without` or
+    ``dataclasses.replace`` names the caller's line (the default filter
+    shows a DeprecationWarning only when that line is in ``__main__``)."""
+    level = 1
+    frame = sys._getframe(1)
+    while frame.f_back is not None and frame.f_globals.get("__name__") in (
+            __name__, "dataclasses"):
+        frame = frame.f_back
+        level += 1
+    warnings.warn(message, DeprecationWarning, stacklevel=level + 1)
 
 
 class StorageTier(enum.Enum):
@@ -162,7 +186,8 @@ class UniviStorConfig:
     #: metadata inserts: one aggregated insert per server per collective
     #: write, with contiguous records merged before the journal append.
     #: Timing-neutral (the per-request server accounting is preserved);
-    #: off reverts to one insert round per request.
+    #: off reverts to one insert round per request.  Deprecated: turning
+    #: it off warns, and the flag goes once its grace window ends.
     meta_batch: bool = True
     #: Client-side (fid, offset-range) -> (ProcID, VA) location cache:
     #: reads on tracked files resolve placement locally and skip the
@@ -195,15 +220,12 @@ class UniviStorConfig:
     #: adds servers only while a hot range has exhausted the pool's
     #: fan-out and the pool is below this size.
     pool_max_servers: int = 0
-    #: Event-engine shard count (docs/MODEL.md §13).  1 (the default) is
-    #: the legacy single-queue kernel; N > 1 routes events to per-key
-    #: queues (node-local processes share a shard) merged in a global
-    #: deterministic ``(time, seq)`` order, so any value is bit-identical
-    #: to 1 — purely a queue-locality/performance knob.
+    #: Deprecated and ignored: the event engine has one layout, a single
+    #: heap (docs/MODEL.md §13).  A value other than 1 warns; the field
+    #: goes once its grace window ends.
     engine_shards: int = 1
-    #: Calendar-queue bucket width (simulated seconds) for each engine
-    #: shard kernel; 0 (the default) selects the binary heap.  Like
-    #: ``engine_shards``, dispatch order is identical for any width.
+    #: Deprecated and ignored, like ``engine_shards``: a value other
+    #: than 0 warns.
     engine_bucket_width: float = 0.0
 
     @staticmethod
@@ -272,6 +294,13 @@ class UniviStorConfig:
             raise ValueError("engine_shards must be >= 1")
         if self.engine_bucket_width < 0:
             raise ValueError("engine_bucket_width must be >= 0")
+        if self.engine_shards != 1 or self.engine_bucket_width != 0.0:
+            _warn_deprecated(ENGINE_LAYOUT_DEPRECATION)
+        if not self.meta_batch:
+            _warn_deprecated("meta_batch=False is deprecated: batched "
+                             "metadata inserts are timing-neutral, and "
+                             "the unbatched path will be removed; drop "
+                             "the argument")
         if StorageTier.PFS in self.cache_tiers:
             raise ValueError("PFS is the implicit destination tier; "
                              "do not list it in cache_tiers")

@@ -52,7 +52,7 @@ class FlushService:
             return ev
         proc = self.engine.process(
             self._flush_process(session, pending, telemetry, app),
-            name=f"flush:{session.path}", shard=session.fid)
+            name=f"flush:{session.path}")
         session.flush_event = proc
         return proc
 

@@ -18,13 +18,14 @@ Typical use (see ``examples/quickstart.py``)::
 
 from __future__ import annotations
 
+import warnings
 from typing import TYPE_CHECKING, Any, Dict, Generator, Optional
 
 from repro.analysis.metrics import Telemetry
 from repro.cluster.spec import MachineSpec
 from repro.cluster.topology import Machine
 from repro.core.client import UniviStorDriver
-from repro.core.config import UniviStorConfig
+from repro.core.config import ENGINE_LAYOUT_DEPRECATION, UniviStorConfig
 from repro.core.server import UniviStorServers
 from repro.sim.engine import Engine, Process
 from repro.sim.faults import FaultInjector, FaultSpec
@@ -50,13 +51,13 @@ class Simulation:
         to model a follow-up job — cached tiers start empty (they are
         job-scoped, §I) but everything flushed to Lustre persists.
 
-        ``engine_shards`` / ``engine_bucket_width`` select the event-engine
-        kernel layout (docs/MODEL.md §13).  Both are pure performance
-        knobs: any value is bit-identical to the defaults.  They usually
-        arrive via :class:`UniviStorConfig` (``build_simulation`` and the
-        chaos harness forward them)."""
-        self.engine = Engine(shards=engine_shards,
-                             bucket_width=engine_bucket_width)
+        ``engine_shards`` / ``engine_bucket_width`` are deprecated and
+        ignored: the event engine has one layout (docs/MODEL.md §13).  A
+        non-default value warns."""
+        if engine_shards != 1 or engine_bucket_width != 0.0:
+            warnings.warn(ENGINE_LAYOUT_DEPRECATION, DeprecationWarning,
+                          stacklevel=2)
+        self.engine = Engine()
         self.machine = Machine(self.engine, spec, pfs_files=pfs_files)
         self.registry = DriverRegistry()
         self.telemetry = Telemetry(self.engine)
@@ -146,10 +147,12 @@ class Simulation:
 
     def spawn(self, generator: Generator, name: str = "",
               shard: Optional[int] = None) -> Process:
-        """Spawn a process.  ``shard`` pins it (any integer key, reduced
-        modulo ``engine.shards``) to an engine event queue; the default
-        inherits the spawner's shard.  Inert on a single-shard engine."""
-        return self.engine.process(generator, name=name, shard=shard)
+        """Spawn a process.  ``shard`` is deprecated and ignored: passing
+        one warns."""
+        if shard is not None:
+            warnings.warn(ENGINE_LAYOUT_DEPRECATION, DeprecationWarning,
+                          stacklevel=2)
+        return self.engine.process(generator, name=name)
 
     def run(self, until: Optional[float] = None) -> None:
         self.engine.run(until=until)

@@ -23,12 +23,19 @@ model, different constants), regenerate the goldens with
 """
 
 import hashlib
+from dataclasses import replace
 
+import pytest
+
+from repro.chaos import _config, run_one
+from repro.cluster.spec import MachineSpec
 from repro.core.config import UniviStorConfig
 from repro.experiments.common import build_simulation
 from repro.sim.faults import FaultSpec
+from repro.simulation import Simulation
 from repro.units import MiB
 from repro.workloads import MicroBench
+from tests.chaos import test_chaos_smoke as chaos_smoke
 
 #: The faulted scenario's ``--fault-spec`` string (CLI mini-language):
 #: an explicit server crash survivable under replication=2, a transient
@@ -140,60 +147,42 @@ class TestGoldenDigests:
         self._check("lustre")
 
 
-class TestEngineLayoutInvariance:
-    """``engine_shards`` / ``engine_bucket_width`` are scheduling-layout
-    knobs, not semantics (docs/MODEL.md §13): any layout must reproduce
-    the single-queue goldens bit-identically — same final clock, same
-    record sequence, same digest."""
+class TestEngineLayoutDeprecation:
+    """The engine has one layout (docs/MODEL.md §13).  The old layout
+    knobs are accepted for one grace window: each form warns and is
+    otherwise ignored, so a run that passes them still reproduces the
+    goldens."""
 
-    def _check_micro(self, **engine_kw):
-        from repro.experiments.common import univistor_config_for
-        cfg = univistor_config_for("UniviStor/DRAM", **engine_kw)
-        sim, fstype = build_simulation(64, "UniviStor/DRAM", config=cfg)
+    def test_deprecated_forms_keep_goldens(self):
+        with pytest.warns(DeprecationWarning, match="one layout"):
+            cfg = UniviStorConfig.dram_only(engine_shards=4,
+                                            engine_bucket_width=0.01)
+        with pytest.warns(DeprecationWarning, match="one layout"):
+            sim = Simulation(MachineSpec.cori_haswell(nodes=2),
+                             engine_shards=4, engine_bucket_width=0.01)
+        sim.install_univistor(cfg)
         comm = sim.comm("iobench", size=64)
-        bench = MicroBench(sim, comm, "/pfs/m.h5", fstype,
+        bench = MicroBench(sim, comm, "/pfs/m.h5", "univistor",
                            bytes_per_proc=64 * MiB)
 
         def app():
             yield from bench.write_phase()
             yield from bench.read_phase()
 
-        sim.run_to_completion(app())
+        with pytest.warns(DeprecationWarning, match="one layout"):
+            sim.spawn(app(), shard=3)
+        sim.run()
         golden_now, golden_count, golden_digest = GOLDEN_MICRO
         tuples = _record_tuples(sim)
         assert repr(sim.now) == golden_now
         assert len(tuples) == golden_count
         assert _digest(tuples) == golden_digest
 
-    def test_sharded_engine_matches_micro_golden(self):
-        self._check_micro(engine_shards=4)
-
-    def test_bucket_kernel_matches_micro_golden(self):
-        self._check_micro(engine_bucket_width=0.01)
-
-    def test_sharded_bucket_matches_micro_golden(self):
-        self._check_micro(engine_shards=3, engine_bucket_width=0.01)
-
-    def test_faulted_run_sharded(self):
-        cfg = UniviStorConfig.dram_bb(metadata_replication=2,
-                                      io_retry_limit=2, engine_shards=4)
-        sim, fstype = build_simulation(64, "UniviStor/(DRAM+BB)",
-                                       config=cfg)
-        sim.install_faults(FaultSpec.parse(FAULT_SPEC), seed=FAULT_SEED)
-        comm = sim.comm("iobench", size=64)
-        bench = MicroBench(sim, comm, "/pfs/m.h5", fstype,
-                           bytes_per_proc=64 * MiB)
-
-        def app():
-            yield from bench.write_phase(sync=True)
-            yield from bench.read_phase()
-
-        sim.run_to_completion(app())
-        golden_now, golden_count, golden_digest = GOLDEN_FAULTED
-        tuples = _record_tuples(sim)
-        assert repr(sim.now) == golden_now
-        assert len(tuples) == golden_count
-        assert _digest(tuples) == golden_digest
+        with pytest.warns(DeprecationWarning, match="one layout"):
+            chaos_cfg = replace(_config(True, "storm"), engine_shards=4,
+                                engine_bucket_width=0.01)
+        got = run_one(7, hardened=True, mix="storm", config=chaos_cfg)
+        assert got.digest == chaos_smoke.TestGoldenDigests.STORM_DQ2[7]
 
 
 class TestRunToRunDeterminism:

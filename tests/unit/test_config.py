@@ -1,5 +1,7 @@
 """Unit tests for UniviStorConfig."""
 
+import warnings
+
 import pytest
 
 from repro.core.config import StorageTier, UniviStorConfig
@@ -69,3 +71,32 @@ class TestUniviStorConfig:
     def test_frozen(self):
         with pytest.raises(Exception):
             UniviStorConfig().chunk_size = 1
+
+
+class TestDeprecatedFields:
+    """Fields kept for one grace window (docs/API.md, "API stability")."""
+
+    def test_defaults_do_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            UniviStorConfig()
+            UniviStorConfig.hardened()
+            UniviStorConfig.dram_only().without("location_cache")
+
+    def test_meta_batch_off_warns_and_still_applies(self):
+        with pytest.warns(DeprecationWarning, match="meta_batch") as rec:
+            config = UniviStorConfig(meta_batch=False)
+        assert not config.meta_batch
+        with pytest.warns(DeprecationWarning, match="meta_batch") as rec2:
+            config = UniviStorConfig().without("meta_batch")
+        assert not config.meta_batch
+        # Attributed to the calling line, not to config.py or
+        # dataclasses.py, so the default warning filter shows it when
+        # the caller is a script.
+        assert rec[0].filename == rec2[0].filename == __file__
+
+    def test_engine_layout_range_checks_kept(self):
+        with pytest.raises(ValueError):
+            UniviStorConfig(engine_shards=0)
+        with pytest.raises(ValueError):
+            UniviStorConfig(engine_bucket_width=-1.0)

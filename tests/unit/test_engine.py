@@ -423,10 +423,9 @@ class TestEngineEdgeCases:
         assert engine.now == 1.0
 
 
-class TestShardedKernel:
-    """Edge cases the sharded/calendar rewrite must preserve
-    (docs/MODEL.md §13): shard count and bucket width are queue-locality
-    knobs — dispatch order is the global (time, seq) FIFO regardless."""
+class TestDispatchOrder:
+    """Edge cases of the heap kernel's two-stage scheduling and fast
+    paths (docs/MODEL.md §13): dispatch is the global (time, seq) FIFO."""
 
     def test_interrupt_at_same_tick_as_its_timeout(self):
         # The killer's t=5 timeout was scheduled first, so it fires
@@ -452,11 +451,8 @@ class TestShardedKernel:
         engine.run()
         assert log == [("interrupted", "same-tick", 5.0)]
 
-    @pytest.mark.parametrize("kw", [{}, {"shards": 4}, {"shards": 3},
-                                    {"bucket_width": 0.25},
-                                    {"shards": 4, "bucket_width": 0.5}])
-    def test_same_time_fifo_across_shard_boundaries(self, kw):
-        engine = Engine(**kw)
+    def test_same_time_fifo(self):
+        engine = Engine()
         log = []
 
         def worker(i):
@@ -466,15 +462,14 @@ class TestShardedKernel:
             log.append(i + 100)
 
         for i in range(8):
-            engine.process(worker(i), shard=i)
+            engine.process(worker(i))
         engine.run()
         assert log == (list(range(8)) + [i + 100 for i in range(8)])
 
-    def test_conditions_span_shards(self):
-        # AllOf/AnyOf over events succeeded by processes pinned to three
-        # different shards: values, order and timestamps match the
-        # single-queue semantics exactly.
-        engine = Engine(shards=3)
+    def test_condition_values(self):
+        # AllOf/AnyOf over events succeeded by three processes: values,
+        # order and timestamps.
+        engine = Engine()
         results = {}
         events = [engine.event() for _ in range(3)]
 
@@ -483,7 +478,7 @@ class TestShardedKernel:
             ev.succeed(value)
 
         for i, ev in enumerate(events):
-            engine.process(trigger(ev, 1.0 + i, f"v{i}"), shard=i)
+            engine.process(trigger(ev, 1.0 + i, f"v{i}"))
 
         def wait_all():
             got = yield engine.all_of(events)
@@ -493,59 +488,26 @@ class TestShardedKernel:
             ev, value = yield engine.any_of(events)
             results["any"] = (value, engine.now, ev is events[0])
 
-        engine.process(wait_all(), shard=0)
-        engine.process(wait_any(), shard=2)
+        engine.process(wait_all())
+        engine.process(wait_any())
         engine.run()
         assert results["all"] == (["v0", "v1", "v2"], 3.0)
         assert results["any"] == ("v0", 1.0, True)
 
-    @pytest.mark.parametrize("kw", [{}, {"shards": 4},
-                                    {"bucket_width": 0.5}])
-    def test_run_until_with_empty_queue_advances_time(self, kw):
-        engine = Engine(**kw)
+    def test_run_until_with_empty_queue_advances_time(self):
+        engine = Engine()
         engine.run(until=42.0)
         assert engine.now == 42.0
         assert engine.peek() == float("inf")
 
     def test_run_until_stops_between_events(self):
-        for kw in ({}, {"shards": 2}, {"bucket_width": 1.0}):
-            engine = Engine(**kw)
-
-            def ticker():
-                while True:
-                    yield engine.timeout(1.0)
-
-            engine.process(ticker(), shard=1)
-            engine.run(until=5.5)
-            assert engine.now == 5.5
-            assert engine.peek() == 6.0
-
-    def test_epoch_counter_advances_in_sharded_mode(self):
-        engine = Engine(shards=2, epoch_length=0.5)
+        engine = Engine()
 
         def ticker():
-            for _ in range(10):
+            while True:
                 yield engine.timeout(1.0)
 
         engine.process(ticker())
-        engine.run()
-        assert engine.epochs > 0
-        assert engine.shards == 2
-
-    def test_shard_keys_reduce_modulo_shard_count(self):
-        engine = Engine(shards=2)
-
-        def noop():
-            yield engine.timeout(0.0)
-
-        proc = engine.process(noop(), shard=7)
-        assert proc._shard == 1
-        engine.run()
-
-    def test_ctor_validation(self):
-        with pytest.raises(ValueError):
-            Engine(shards=0)
-        with pytest.raises(ValueError):
-            Engine(bucket_width=-1.0)
-        with pytest.raises(ValueError):
-            Engine(epoch_length=0.0)
+        engine.run(until=5.5)
+        assert engine.now == 5.5
+        assert engine.peek() == 6.0
