@@ -386,3 +386,19 @@ class TestGoldenDigests:
         for seed, want in self.STORM_DQ2.items():
             got = run_one(seed, hardened=True, mix="storm").digest
             assert got == want, f"seed {seed}: {got}"
+
+    def test_engine_layout_invariant(self):
+        # The old engine layout knobs are deprecated and ignored: one
+        # pinned seed per mix run with them must still replay the
+        # single-layout goldens bit-identically.
+        for kw in ({"engine_shards": 4},
+                   {"engine_shards": 3, "engine_bucket_width": 0.01}):
+            with pytest.warns(DeprecationWarning, match="one layout"):
+                cfg = replace(_config(True, "storm"), **kw)
+            got = run_one(7, hardened=True, mix="storm", config=cfg).digest
+            assert got == self.STORM_DQ2[7], f"{kw}: {got}"
+        with pytest.warns(DeprecationWarning, match="one layout"):
+            cfg = replace(_config(True, "storm_legacy"), engine_shards=4)
+        got = run_one(7, hardened=True, mix="storm_legacy",
+                      config=cfg).digest
+        assert got == self.LEGACY[7]

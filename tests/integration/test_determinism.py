@@ -23,11 +23,9 @@ model, different constants), regenerate the goldens with
 """
 
 import hashlib
-from dataclasses import replace
 
 import pytest
 
-from repro.chaos import _config, run_one
 from repro.cluster.spec import MachineSpec
 from repro.core.config import UniviStorConfig
 from repro.experiments.common import build_simulation
@@ -35,7 +33,6 @@ from repro.sim.faults import FaultSpec
 from repro.simulation import Simulation
 from repro.units import MiB
 from repro.workloads import MicroBench
-from tests.chaos import test_chaos_smoke as chaos_smoke
 
 #: The faulted scenario's ``--fault-spec`` string (CLI mini-language):
 #: an explicit server crash survivable under replication=2, a transient
@@ -147,19 +144,44 @@ class TestGoldenDigests:
         self._check("lustre")
 
 
-class TestEngineLayoutDeprecation:
+class TestEngineLayoutInvariance:
     """The engine has one layout (docs/MODEL.md §13).  The old layout
-    knobs are accepted for one grace window: each form warns and is
-    otherwise ignored, so a run that passes them still reproduces the
-    goldens."""
+    knobs (``engine_shards`` / ``engine_bucket_width`` / ``shard=``) are
+    accepted for one grace window: each form warns and is otherwise
+    ignored, so a run that passes them still reproduces the goldens —
+    same final clock, same record sequence, same digest."""
 
-    def test_deprecated_forms_keep_goldens(self):
+    def _check_micro(self, **engine_kw):
+        from repro.experiments.common import univistor_config_for
         with pytest.warns(DeprecationWarning, match="one layout"):
-            cfg = UniviStorConfig.dram_only(engine_shards=4,
+            cfg = univistor_config_for("UniviStor/DRAM", **engine_kw)
+        sim, fstype = build_simulation(64, "UniviStor/DRAM", config=cfg)
+        comm = sim.comm("iobench", size=64)
+        bench = MicroBench(sim, comm, "/pfs/m.h5", fstype,
+                           bytes_per_proc=64 * MiB)
+
+        def app():
+            yield from bench.write_phase()
+            yield from bench.read_phase()
+
+        sim.run_to_completion(app())
+        _assert_golden(sim, GOLDEN_MICRO)
+
+    def test_sharded_engine_matches_micro_golden(self):
+        self._check_micro(engine_shards=4)
+
+    def test_bucket_kernel_matches_micro_golden(self):
+        self._check_micro(engine_bucket_width=0.01)
+
+    def test_sharded_bucket_matches_micro_golden(self):
+        # Every deprecated form at once: config knobs, Simulation
+        # arguments and a spawn-time shard pin.
+        with pytest.warns(DeprecationWarning, match="one layout"):
+            cfg = UniviStorConfig.dram_only(engine_shards=3,
                                             engine_bucket_width=0.01)
         with pytest.warns(DeprecationWarning, match="one layout"):
             sim = Simulation(MachineSpec.cori_haswell(nodes=2),
-                             engine_shards=4, engine_bucket_width=0.01)
+                             engine_shards=3, engine_bucket_width=0.01)
         sim.install_univistor(cfg)
         comm = sim.comm("iobench", size=64)
         bench = MicroBench(sim, comm, "/pfs/m.h5", "univistor",
@@ -172,17 +194,33 @@ class TestEngineLayoutDeprecation:
         with pytest.warns(DeprecationWarning, match="one layout"):
             sim.spawn(app(), shard=3)
         sim.run()
-        golden_now, golden_count, golden_digest = GOLDEN_MICRO
-        tuples = _record_tuples(sim)
-        assert repr(sim.now) == golden_now
-        assert len(tuples) == golden_count
-        assert _digest(tuples) == golden_digest
+        _assert_golden(sim, GOLDEN_MICRO)
 
+    def test_faulted_run_sharded(self):
         with pytest.warns(DeprecationWarning, match="one layout"):
-            chaos_cfg = replace(_config(True, "storm"), engine_shards=4,
-                                engine_bucket_width=0.01)
-        got = run_one(7, hardened=True, mix="storm", config=chaos_cfg)
-        assert got.digest == chaos_smoke.TestGoldenDigests.STORM_DQ2[7]
+            cfg = UniviStorConfig.dram_bb(metadata_replication=2,
+                                          io_retry_limit=2, engine_shards=4)
+        sim, fstype = build_simulation(64, "UniviStor/(DRAM+BB)",
+                                       config=cfg)
+        sim.install_faults(FaultSpec.parse(FAULT_SPEC), seed=FAULT_SEED)
+        comm = sim.comm("iobench", size=64)
+        bench = MicroBench(sim, comm, "/pfs/m.h5", fstype,
+                           bytes_per_proc=64 * MiB)
+
+        def app():
+            yield from bench.write_phase(sync=True)
+            yield from bench.read_phase()
+
+        sim.run_to_completion(app())
+        _assert_golden(sim, GOLDEN_FAULTED)
+
+
+def _assert_golden(sim, golden):
+    golden_now, golden_count, golden_digest = golden
+    tuples = _record_tuples(sim)
+    assert repr(sim.now) == golden_now
+    assert len(tuples) == golden_count
+    assert _digest(tuples) == golden_digest
 
 
 class TestRunToRunDeterminism:
