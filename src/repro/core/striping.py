@@ -69,6 +69,12 @@ def layout_for_ranges(file_size: float, servers: int, stripe_size: float,
         end = (s + 1) * per_server
         first = int(start // stripe_size)
         last = int(max(start, end - 1) // stripe_size)
+        # A range whose last byte straddles a stripe boundary (a tiny
+        # flush over many servers: stripes shorter than a byte) touches
+        # the next stripes too; slivers within the weight tolerance stay
+        # dropped, as they always were.
+        while end - (last + 1) * stripe_size > 1e-6 * per_server:
+            last += 1
         span = last - first + 1
         if span >= osts:
             sets.append(tuple(range(osts)))

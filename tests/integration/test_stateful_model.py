@@ -9,6 +9,8 @@ copies.  This is the strongest correctness net in the suite: it explores
 interleavings no example-based test would think of.
 """
 
+import os
+
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -179,5 +181,5 @@ class UniviStorMachine(RuleBasedStateMachine):
 
 
 TestUniviStorModel = UniviStorMachine.TestCase
-TestUniviStorModel.settings = settings(
-    max_examples=25, stateful_step_count=30, deadline=None)
+TestUniviStorModel.settings = settings.get_profile(
+    os.environ.get("REPRO_STATEFUL_PROFILE", "stateful"))

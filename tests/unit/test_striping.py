@@ -130,6 +130,16 @@ class TestLayoutForRanges:
             touched |= set(s)
         assert touched == set(range(10))
 
+    @pytest.mark.parametrize("file_size", [1.0, 10.0, 7.0])
+    def test_ranges_inside_one_byte_of_a_boundary(self, file_size):
+        """A tiny flush over many servers: a range's last byte straddles
+        a stripe boundary (sub-byte stripes at 1 B).  Every range still
+        maps onto stripes that hold all of it (the weights used to sum
+        to 0.75 and the layout raised)."""
+        plan = adaptive_plan(file_size, 6, LustreSpec(osts=8))
+        for weights in plan.layout.weights:
+            assert sum(weights) == pytest.approx(1.0)
+
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             layout_for_ranges(10, 0, 1, 4)
