@@ -12,15 +12,6 @@ from repro.units import MiB
 
 __all__ = ["StorageTier", "UniviStorConfig"]
 
-#: Warning text for the engine-layout knobs kept for one grace window
-#: (``engine_shards`` / ``engine_bucket_width`` here and on
-#: ``Simulation``, and ``Simulation.spawn(shard=)``).
-ENGINE_LAYOUT_DEPRECATION = (
-    "engine_shards, engine_bucket_width and shard= are deprecated and "
-    "ignored: the event engine has one layout, a single (time, seq) "
-    "heap; drop the argument")
-
-
 def _warn_deprecated(message: str) -> None:
     """Warn at the first frame outside this module and ``dataclasses``,
     so a field set through a canned constructor, :meth:`without` or
@@ -182,18 +173,10 @@ class UniviStorConfig:
     #: from its session cursor on the next tick, bounding the background
     #: bandwidth one tick may consume.
     scrub_rate_limit: float = 0.0
-    #: Metadata fast path (docs/MODEL.md §9) — batched, coalescing
-    #: metadata inserts: one aggregated insert per server per collective
-    #: write, with contiguous records merged before the journal append.
-    #: Timing-neutral (the per-request server accounting is preserved);
-    #: off reverts to one insert round per request.  Deprecated: turning
-    #: it off warns, and the flag goes once its grace window ends.
-    meta_batch: bool = True
-    #: Client-side (fid, offset-range) -> (ProcID, VA) location cache:
-    #: reads on tracked files resolve placement locally and skip the
-    #: server-side store search.  Timing-neutral (the same metadata RPCs
-    #: are charged); invalidated on overwrite, flush, delete and
-    #: recovery takeover.
+    #: Deprecated and ignored: the metadata service keeps one record
+    #: list per file, which every lookup bisects (docs/MODEL.md §9), so
+    #: there is no separate client cache to turn off.  False warns; the
+    #: field goes once its grace window ends.
     location_cache: bool = True
     #: Journal checkpointing: fold a metadata range's write-ahead journal
     #: into a compacted checkpoint once it reaches this many entries and
@@ -220,13 +203,6 @@ class UniviStorConfig:
     #: adds servers only while a hot range has exhausted the pool's
     #: fan-out and the pool is below this size.
     pool_max_servers: int = 0
-    #: Deprecated and ignored: the event engine has one layout, a single
-    #: heap (docs/MODEL.md §13).  A value other than 1 warns; the field
-    #: goes once its grace window ends.
-    engine_shards: int = 1
-    #: Deprecated and ignored, like ``engine_shards``: a value other
-    #: than 0 warns.
-    engine_bucket_width: float = 0.0
 
     @staticmethod
     def hardened(**kw) -> "UniviStorConfig":
@@ -290,16 +266,10 @@ class UniviStorConfig:
             raise ValueError("scrub_interval must be >= 0")
         if self.scrub_rate_limit < 0:
             raise ValueError("scrub_rate_limit must be >= 0")
-        if self.engine_shards < 1:
-            raise ValueError("engine_shards must be >= 1")
-        if self.engine_bucket_width < 0:
-            raise ValueError("engine_bucket_width must be >= 0")
-        if self.engine_shards != 1 or self.engine_bucket_width != 0.0:
-            _warn_deprecated(ENGINE_LAYOUT_DEPRECATION)
-        if not self.meta_batch:
-            _warn_deprecated("meta_batch=False is deprecated: batched "
-                             "metadata inserts are timing-neutral, and "
-                             "the unbatched path will be removed; drop "
+        if not self.location_cache:
+            _warn_deprecated("location_cache=False is deprecated and "
+                             "ignored: lookups bisect the metadata "
+                             "service's one record list per file; drop "
                              "the argument")
         if StorageTier.PFS in self.cache_tiers:
             raise ValueError("PFS is the implicit destination tier; "
@@ -345,7 +315,7 @@ class UniviStorConfig:
                  "workflow_enabled", "flush_enabled",
                  "resilience_enabled", "adaptive_placement",
                  "health_enabled", "recovery_enabled", "scrub_enabled",
-                 "meta_batch", "location_cache", "meta_quorum",
+                 "location_cache", "meta_quorum",
                  "bb_quota_enforced", "hotspot_enabled"}
         changes = {}
         for flag in flags:

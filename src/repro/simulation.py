@@ -18,14 +18,13 @@ Typical use (see ``examples/quickstart.py``)::
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Any, Dict, Generator, Optional
 
 from repro.analysis.metrics import Telemetry
 from repro.cluster.spec import MachineSpec
 from repro.cluster.topology import Machine
 from repro.core.client import UniviStorDriver
-from repro.core.config import ENGINE_LAYOUT_DEPRECATION, UniviStorConfig
+from repro.core.config import UniviStorConfig
 from repro.core.server import UniviStorServers
 from repro.sim.engine import Engine, Process
 from repro.sim.faults import FaultInjector, FaultSpec
@@ -45,18 +44,10 @@ class Simulation:
     """One job: engine + machine + ADIO registry + telemetry."""
 
     def __init__(self, spec: Optional[MachineSpec] = None,
-                 pfs_files=None, engine_shards: int = 1,
-                 engine_bucket_width: float = 0.0):
+                 pfs_files=None):
         """``pfs_files``: pass a previous job's ``sim.machine.pfs_files``
         to model a follow-up job — cached tiers start empty (they are
-        job-scoped, §I) but everything flushed to Lustre persists.
-
-        ``engine_shards`` / ``engine_bucket_width`` are deprecated and
-        ignored: the event engine has one layout (docs/MODEL.md §13).  A
-        non-default value warns."""
-        if engine_shards != 1 or engine_bucket_width != 0.0:
-            warnings.warn(ENGINE_LAYOUT_DEPRECATION, DeprecationWarning,
-                          stacklevel=2)
+        job-scoped, §I) but everything flushed to Lustre persists."""
         self.engine = Engine()
         self.machine = Machine(self.engine, spec, pfs_files=pfs_files)
         self.registry = DriverRegistry()
@@ -145,13 +136,7 @@ class Simulation:
                                       fstype=fstype, hints=hints)
         return result
 
-    def spawn(self, generator: Generator, name: str = "",
-              shard: Optional[int] = None) -> Process:
-        """Spawn a process.  ``shard`` is deprecated and ignored: passing
-        one warns."""
-        if shard is not None:
-            warnings.warn(ENGINE_LAYOUT_DEPRECATION, DeprecationWarning,
-                          stacklevel=2)
+    def spawn(self, generator: Generator, name: str = "") -> Process:
         return self.engine.process(generator, name=name)
 
     def run(self, until: Optional[float] = None) -> None:

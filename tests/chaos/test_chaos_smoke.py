@@ -72,28 +72,23 @@ class TestFastPathCoherence:
     SEEDS = (3, 7, 11)
 
     def test_cache_on_off_digests_identical_hardened(self):
+        # location_cache=False is deprecated and ignored: it warns, and
+        # the run it configures replays the default one exactly.
+        with pytest.warns(DeprecationWarning, match="location_cache"):
+            cacheless = _config(True).without("location_cache")
         for seed in self.SEEDS:
             on = run_one(seed, hardened=True)
-            off = run_one(seed, hardened=True,
-                          config=_config(True).without("location_cache"))
+            off = run_one(seed, hardened=True, config=cacheless)
             assert on.digest == off.digest, f"seed {seed}"
             assert on.telemetry_ops == off.telemetry_ops
 
     def test_batching_on_off_digests_identical(self):
-        # Compared on the baseline config: coalescing shrinks journal
-        # record counts, and in hardened mode the takeover replay *cost*
-        # is priced per journal record — a real (and intended) timing
-        # difference, not an observation leak.  The baseline never
-        # replays, so batching on/off must be bit-identical there.
-        # meta_batch=False is deprecated: it still works, with a warning.
-        with pytest.warns(DeprecationWarning, match="meta_batch"):
-            unbatched = _config(False).without("meta_batch")
-        for seed in self.SEEDS:
-            on = run_one(seed, hardened=False,
-                         config=_config(False))
-            off = run_one(seed, hardened=False, config=unbatched)
-            assert on.digest == off.digest, f"seed {seed}"
-            assert on.telemetry_ops == off.telemetry_ops
+        # Batched inserts are the only insert path: ``meta_batch``
+        # outlived its grace window and is gone.
+        with pytest.raises(ValueError, match="meta_batch"):
+            _config(False).without("meta_batch")
+        with pytest.raises(TypeError, match="meta_batch"):
+            replace(_config(False), meta_batch=False)
 
     def test_parallel_campaign_digests_match_serial(self):
         serial = run_campaign(4, hardened=True)
@@ -235,11 +230,12 @@ class TestHotspotDeterminism:
         # merge, grow and shrink conservatively drops the location
         # caches, so running cache-less replays the exact same storm —
         # a cache outdated by a layout change can never have answered.
+        with pytest.warns(DeprecationWarning, match="location_cache"):
+            cacheless = _config(True, "hotspot").without("location_cache")
         for seed in (3, 7, 11):
             on = run_one(seed, hardened=True, mix="hotspot")
             off = run_one(seed, hardened=True, mix="hotspot",
-                          config=_config(True, "hotspot").without(
-                              "location_cache"))
+                          config=cacheless)
             assert on.digest == off.digest, f"seed {seed}"
             assert on.telemetry_ops == off.telemetry_ops
 
@@ -388,17 +384,9 @@ class TestGoldenDigests:
             assert got == want, f"seed {seed}: {got}"
 
     def test_engine_layout_invariant(self):
-        # The old engine layout knobs are deprecated and ignored: one
-        # pinned seed per mix run with them must still replay the
-        # single-layout goldens bit-identically.
+        # The old engine layout knobs outlived their grace window: a
+        # config that names them no longer builds.
         for kw in ({"engine_shards": 4},
                    {"engine_shards": 3, "engine_bucket_width": 0.01}):
-            with pytest.warns(DeprecationWarning, match="one layout"):
-                cfg = replace(_config(True, "storm"), **kw)
-            got = run_one(7, hardened=True, mix="storm", config=cfg).digest
-            assert got == self.STORM_DQ2[7], f"{kw}: {got}"
-        with pytest.warns(DeprecationWarning, match="one layout"):
-            cfg = replace(_config(True, "storm_legacy"), engine_shards=4)
-        got = run_one(7, hardened=True, mix="storm_legacy",
-                      config=cfg).digest
-        assert got == self.LEGACY[7]
+            with pytest.raises(TypeError, match="engine_"):
+                replace(_config(True, "storm"), **kw)

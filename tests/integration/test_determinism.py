@@ -146,73 +146,43 @@ class TestGoldenDigests:
 
 class TestEngineLayoutInvariance:
     """The engine has one layout (docs/MODEL.md §13).  The old layout
-    knobs (``engine_shards`` / ``engine_bucket_width`` / ``shard=``) are
-    accepted for one grace window: each form warns and is otherwise
-    ignored, so a run that passes them still reproduces the goldens —
-    same final clock, same record sequence, same digest."""
-
-    def _check_micro(self, **engine_kw):
-        from repro.experiments.common import univistor_config_for
-        with pytest.warns(DeprecationWarning, match="one layout"):
-            cfg = univistor_config_for("UniviStor/DRAM", **engine_kw)
-        sim, fstype = build_simulation(64, "UniviStor/DRAM", config=cfg)
-        comm = sim.comm("iobench", size=64)
-        bench = MicroBench(sim, comm, "/pfs/m.h5", fstype,
-                           bytes_per_proc=64 * MiB)
-
-        def app():
-            yield from bench.write_phase()
-            yield from bench.read_phase()
-
-        sim.run_to_completion(app())
-        _assert_golden(sim, GOLDEN_MICRO)
+    knobs (``engine_shards`` / ``engine_bucket_width`` / ``shard=``)
+    outlived their grace window and are gone: each form is now a
+    TypeError, and the golden runs above are the single layout's."""
 
     def test_sharded_engine_matches_micro_golden(self):
-        self._check_micro(engine_shards=4)
+        from repro.experiments.common import univistor_config_for
+        with pytest.raises(TypeError, match="engine_shards"):
+            univistor_config_for("UniviStor/DRAM", engine_shards=4)
 
     def test_bucket_kernel_matches_micro_golden(self):
-        self._check_micro(engine_bucket_width=0.01)
+        from repro.experiments.common import univistor_config_for
+        with pytest.raises(TypeError, match="engine_bucket_width"):
+            univistor_config_for("UniviStor/DRAM", engine_bucket_width=0.01)
 
     def test_sharded_bucket_matches_micro_golden(self):
-        # Every deprecated form at once: config knobs, Simulation
-        # arguments and a spawn-time shard pin.
-        with pytest.warns(DeprecationWarning, match="one layout"):
-            cfg = UniviStorConfig.dram_only(engine_shards=3,
-                                            engine_bucket_width=0.01)
-        with pytest.warns(DeprecationWarning, match="one layout"):
-            sim = Simulation(MachineSpec.cori_haswell(nodes=2),
-                             engine_shards=3, engine_bucket_width=0.01)
-        sim.install_univistor(cfg)
-        comm = sim.comm("iobench", size=64)
-        bench = MicroBench(sim, comm, "/pfs/m.h5", "univistor",
-                           bytes_per_proc=64 * MiB)
+        # Every removed form: config knobs, Simulation arguments and a
+        # spawn-time shard pin.
+        with pytest.raises(TypeError, match="engine_shards"):
+            UniviStorConfig.dram_only(engine_shards=3,
+                                      engine_bucket_width=0.01)
+        with pytest.raises(TypeError, match="engine_shards"):
+            Simulation(MachineSpec.cori_haswell(nodes=2), engine_shards=3)
+        with pytest.raises(TypeError, match="engine_bucket_width"):
+            Simulation(MachineSpec.cori_haswell(nodes=2),
+                       engine_bucket_width=0.01)
+        sim = Simulation(MachineSpec.cori_haswell(nodes=2))
 
         def app():
-            yield from bench.write_phase()
-            yield from bench.read_phase()
+            yield sim.engine.timeout(1.0)
 
-        with pytest.warns(DeprecationWarning, match="one layout"):
+        with pytest.raises(TypeError, match="shard"):
             sim.spawn(app(), shard=3)
-        sim.run()
-        _assert_golden(sim, GOLDEN_MICRO)
 
     def test_faulted_run_sharded(self):
-        with pytest.warns(DeprecationWarning, match="one layout"):
-            cfg = UniviStorConfig.dram_bb(metadata_replication=2,
-                                          io_retry_limit=2, engine_shards=4)
-        sim, fstype = build_simulation(64, "UniviStor/(DRAM+BB)",
-                                       config=cfg)
-        sim.install_faults(FaultSpec.parse(FAULT_SPEC), seed=FAULT_SEED)
-        comm = sim.comm("iobench", size=64)
-        bench = MicroBench(sim, comm, "/pfs/m.h5", fstype,
-                           bytes_per_proc=64 * MiB)
-
-        def app():
-            yield from bench.write_phase(sync=True)
-            yield from bench.read_phase()
-
-        sim.run_to_completion(app())
-        _assert_golden(sim, GOLDEN_FAULTED)
+        with pytest.raises(TypeError, match="engine_shards"):
+            UniviStorConfig.dram_bb(metadata_replication=2,
+                                    io_retry_limit=2, engine_shards=4)
 
 
 def _assert_golden(sim, golden):

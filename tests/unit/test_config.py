@@ -74,29 +74,39 @@ class TestUniviStorConfig:
 
 
 class TestDeprecatedFields:
-    """Fields kept for one grace window (docs/API.md, "API stability")."""
+    """Fields inside or past their one-PR grace window (docs/API.md,
+    "API stability")."""
 
     def test_defaults_do_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             UniviStorConfig()
             UniviStorConfig.hardened()
-            UniviStorConfig.dram_only().without("location_cache")
+            UniviStorConfig.dram_only()
 
     def test_meta_batch_off_warns_and_still_applies(self):
-        with pytest.warns(DeprecationWarning, match="meta_batch") as rec:
-            config = UniviStorConfig(meta_batch=False)
-        assert not config.meta_batch
-        with pytest.warns(DeprecationWarning, match="meta_batch") as rec2:
-            config = UniviStorConfig().without("meta_batch")
-        assert not config.meta_batch
+        """Past its grace window: ``meta_batch`` is gone, so passing it
+        is a TypeError and ``without`` rejects the name."""
+        with pytest.raises(TypeError, match="meta_batch"):
+            UniviStorConfig(meta_batch=False)
+        with pytest.raises(ValueError, match="meta_batch"):
+            UniviStorConfig().without("meta_batch")
+
+    def test_engine_layout_range_checks_kept(self):
+        """Past its grace window: the engine-layout fields are gone."""
+        with pytest.raises(TypeError, match="engine_shards"):
+            UniviStorConfig(engine_shards=0)
+        with pytest.raises(TypeError, match="engine_bucket_width"):
+            UniviStorConfig(engine_bucket_width=-1.0)
+
+    def test_location_cache_off_warns_and_is_ignored(self):
+        with pytest.warns(DeprecationWarning, match="location_cache") as rec:
+            config = UniviStorConfig(location_cache=False)
+        with pytest.warns(DeprecationWarning,
+                          match="location_cache") as rec2:
+            UniviStorConfig.dram_only().without("location_cache")
         # Attributed to the calling line, not to config.py or
         # dataclasses.py, so the default warning filter shows it when
         # the caller is a script.
         assert rec[0].filename == rec2[0].filename == __file__
-
-    def test_engine_layout_range_checks_kept(self):
-        with pytest.raises(ValueError):
-            UniviStorConfig(engine_shards=0)
-        with pytest.raises(ValueError):
-            UniviStorConfig(engine_bucket_width=-1.0)
+        assert not config.location_cache
