@@ -57,7 +57,7 @@ class Telemetry:
         # None is a wildcard, so the key a query builds from its filters
         # addresses its aggregate directly.
         self._aggregates: Dict[tuple, list] = {}
-        #: Named event counters (``meta-batch``, ``cache-hit``, ...) — a
+        #: Named event counters (``meta-batch``, ``meta-coalesce``, ...) — a
         #: side channel deliberately separate from the :class:`OpRecord`
         #: stream: counters track host-side fast-path activity and must
         #: not perturb the pinned record sequences the golden-digest

@@ -169,7 +169,6 @@ class HotspotManager:
                 0.0)
             self.actions.append((self.engine.now, "split", range_index))
             self._handoff(f"split:range{range_index}", moved)
-            self.system.invalidate_location_caches()
         saturated = (len(metadata._splits.get(range_index, ()))
                      >= pool_size > 0)
         return acted, saturated
@@ -190,7 +189,6 @@ class HotspotManager:
         self.actions.append((self.engine.now, "rereplicate", range_index))
         if moved:
             self._handoff(f"rereplicate:range{range_index}", moved)
-            self.system.invalidate_location_caches()
         return True
 
     def _merge_cold(self, range_index: int) -> bool:
@@ -207,7 +205,6 @@ class HotspotManager:
                                    0.0)
         self.actions.append((self.engine.now, "merge", range_index))
         self._handoff(f"merge:range{range_index}", moved)
-        self.system.invalidate_location_caches()
         return True
 
     # -- pool elasticity ---------------------------------------------------

@@ -137,7 +137,7 @@ class TestRangeTakeover:
         sim, system, comm = setup(metadata_range_size=float(64 * KiB))
         write_blocks(sim, comm, "/f")
         victim = 0
-        owned = [ri for ri in system.metadata._journal
+        owned = [ri for ri in sorted(system.metadata.records.ranges())
                  if victim in system.metadata.replica_servers(ri)]
         assert owned, "server 0 should own journaled ranges"
         system.crash_server(victim)

@@ -1,6 +1,6 @@
-"""Client-side location cache: mirror exactness and every invalidation
-hook (overwrite, flush migration, delete, recovery takeover) —
-docs/MODEL.md §9."""
+"""The one record list per file (docs/MODEL.md §9): replica views and
+lookups answer from it, layout changes and flushes leave it alone, and
+it stays importable under its location-cache name."""
 
 import pytest
 
@@ -16,6 +16,7 @@ from repro.core.location_cache import LocationCache
 from repro.core.metadata import (
     MetadataRecord,
     MetadataService,
+    RecordMap,
     coalesce_records,
 )
 from repro.units import KiB
@@ -36,100 +37,92 @@ def as_tuples(records):
 
 
 class TestMirrorExactness:
-    """A tracked-since-birth cache answers lookups byte-identically to
-    the authoritative store — including overwrites and holes."""
+    """Lookups through the service answer from the one list — including
+    overwrites and holes — and the list keeps its old name."""
 
     def mirror_pair(self, range_size=64 * KB):
         md = MetadataService(n_servers=4, range_size=range_size,
                              replication=2)
-        cache = LocationCache(range_size)
-        cache.begin_file(1)
-        return md, cache
-
-    def both_insert(self, md, cache, records):
-        md.insert_many(records)
-        cache.insert_records(records)
+        assert LocationCache is RecordMap
+        return md, md.records
 
     def test_lookup_equals_authoritative(self):
-        md, cache = self.mirror_pair()
-        self.both_insert(md, cache, [rec(0, 96 * KB, proc=0),
-                                     rec(96 * KB, 64 * KB, proc=1,
-                                         va=200 * KB)])
+        md, records = self.mirror_pair()
+        md.insert_many([rec(0, 96 * KB, proc=0),
+                        rec(96 * KB, 64 * KB, proc=1, va=200 * KB)])
         for off, ln in [(0, 32 * KB), (90 * KB, 16 * KB),
                         (0, 160 * KB), (32 * KB, 3)]:
             auth, _servers = md.lookup(1, off, ln)
-            assert as_tuples(cache.lookup(1, off, ln)) == as_tuples(auth)
+            assert as_tuples(records.lookup(1, off, ln)) == as_tuples(auth)
 
     def test_overwrite_supersedes_in_both(self):
-        md, cache = self.mirror_pair()
-        self.both_insert(md, cache, [rec(0, 128 * KB, proc=0)])
-        self.both_insert(md, cache, [rec(32 * KB, 32 * KB, proc=1,
-                                         va=500 * KB)])
+        md, records = self.mirror_pair()
+        md.insert_many([rec(0, 128 * KB, proc=0)])
+        md.insert_many([rec(32 * KB, 32 * KB, proc=1, va=500 * KB)])
         auth, _ = md.lookup(1, 0, 128 * KB)
-        got = cache.lookup(1, 0, 128 * KB)
+        got = records.lookup(1, 0, 128 * KB)
         assert as_tuples(got) == as_tuples(auth)
-        assert any(r.proc_id == 1 for r in got)
+        assert [r.proc_id for r in got] == [0, 1, 0]
 
     def test_tracked_hole_is_authoritative_empty(self):
-        md, cache = self.mirror_pair()
-        self.both_insert(md, cache, [rec(0, 16 * KB)])
-        assert cache.lookup(1, 1024 * KB, 16 * KB) == []
-        assert cache.hits == 1
+        md, records = self.mirror_pair()
+        md.insert_many([rec(0, 16 * KB)])
+        assert records.lookup(1, 1024 * KB, 16 * KB) == []
+        assert md.lookup(1, 1024 * KB, 16 * KB)[0] == []
 
     def test_untracked_file_is_a_miss(self):
-        _md, cache = self.mirror_pair()
-        assert cache.lookup(7, 0, 16 * KB) is None
-        assert cache.misses == 1
+        """There is no cache to miss: a file without records is an
+        empty answer."""
+        _md, records = self.mirror_pair()
+        assert records.lookup(7, 0, 16 * KB) == []
 
     def test_zero_length_lookup_counts_neither_hit_nor_miss(self):
-        """A degenerate (length <= 0) request resolves nothing and
-        avoids no store search, so it must not move the hit/miss
-        telemetry — counting before validation inflated the hit rate."""
-        md, cache = self.mirror_pair()
-        self.both_insert(md, cache, [rec(0, 16 * KB)])
-        assert cache.lookup(1, 0, 0) == []
-        assert cache.lookup(1, 4 * KB, -1) == []
-        assert cache.lookup(7, 0, 0) is None  # untracked stays a None
-        assert cache.hits == 0
-        assert cache.misses == 0
-        # Real requests still count.
-        assert cache.lookup(1, 0, 4 * KB)
-        assert cache.lookup(7, 0, 4 * KB) is None
-        assert (cache.hits, cache.misses) == (1, 1)
+        md, records = self.mirror_pair()
+        md.insert_many([rec(0, 16 * KB)])
+        assert records.lookup(1, 0, 0) == []
+        assert records.lookup(1, 4 * KB, -1) == []
+        assert records.lookup(7, 0, 0) == []
+        assert md.lookup(1, 0, 0) == ([], set())
+        assert records.lookup(1, 0, 4 * KB)
 
     def test_untracked_inserts_ignored_never_retracked(self):
-        md, cache = self.mirror_pair()
-        assert cache.invalidate_file(1)
-        # Records the client "didn't see" while untracked must not
-        # resurrect a partial mirror.
-        self.both_insert(md, cache, [rec(0, 16 * KB)])
-        assert not cache.tracks(1)
-        assert cache.lookup(1, 0, 16 * KB) is None
+        """A standalone list applies every record it is given, of any
+        file, splitting one that spans a range boundary."""
+        records = LocationCache(64 * KB)
+        records.insert_records([rec(32 * KB, 64 * KB, fid=9)])
+        assert as_tuples(records.lookup(9, 0, 128 * KB)) == as_tuples(
+            [rec(32 * KB, 32 * KB, fid=9),
+             rec(64 * KB, 32 * KB, va=64 * KB, fid=9)])
 
     def test_begin_file_midlife_is_too_late(self):
-        md, cache = self.mirror_pair()
-        cache.invalidate_file(1)
+        """Deleting a file drops its records and history; a file reborn
+        under the same fid starts empty."""
+        md, records = self.mirror_pair()
         md.insert_many([rec(0, 16 * KB)])
-        # Tracking restarts only via the fresh-file path; a bare
-        # begin_file on a dropped fid would mirror from an empty store
-        # again — which is exactly what the server does only when the
-        # path is recreated (fid reborn with zero records).
-        cache.begin_file(1)
-        assert cache.record_count(1) == 0
+        md.insert_many([rec(4 * KB, 4 * KB, proc=1)])  # diverges range 0
+        assert records.history
+        md.delete_file(1)
+        assert records.records(1) == []
+        assert records.history == {}
+        md.insert_many([rec(0, 4 * KB, proc=2)])
+        assert [r.proc_id for r in records.records(1)] == [2]
 
     def test_clear_drops_everything(self):
-        md, cache = self.mirror_pair()
-        cache.begin_file(2)
-        self.both_insert(md, cache, [rec(0, 16 * KB)])
-        assert cache.clear() == 2
-        assert cache.invalidations == 2
-        assert cache.lookup(1, 0, 16 * KB) is None
+        md, records = self.mirror_pair()
+        md.insert_many([rec(0, 16 * KB), rec(0, 16 * KB, fid=2)])
+        assert records.count == 2
+        md.delete_file(1)
+        md.delete_file(2)
+        assert records.count == 0
+        assert md.lookup(1, 0, 16 * KB)[0] == []
 
     def test_range_boundary_split_mirrors_store(self):
-        md, cache = self.mirror_pair(range_size=64 * KB)
-        self.both_insert(md, cache, [rec(0, 256 * KB)])
+        md, records = self.mirror_pair(range_size=64 * KB)
+        md.insert_many([rec(0, 256 * KB)])
         auth, _ = md.lookup(1, 0, 256 * KB)
-        assert as_tuples(cache.lookup(1, 0, 256 * KB)) == as_tuples(auth)
+        assert as_tuples(records.lookup(1, 0, 256 * KB)) == as_tuples(auth)
+        assert [r.offset for r in records.records(1)] == [
+            0, 64 * KB, 128 * KB, 192 * KB]
 
 
 # -- simulation-level coherence: the four invalidation hooks --------------
@@ -172,52 +165,53 @@ def assert_payloads(data, comm, block):
         assert blob == PatternPayload(r).materialize(0, block)
 
 
+def assert_served_from_list(system, fid, length):
+    served, _ = system.metadata.lookup(fid, 0, length)
+    assert as_tuples(served) == as_tuples(
+        system.metadata.records.lookup(fid, 0, length))
+
+
 class TestSimCoherence:
+    """Whatever happens to the deployment, lookups answer from the one
+    list; nothing mirrors it, so nothing is invalidated."""
+
     def test_write_populates_cache_and_reads_hit(self):
         sim, comm = setup()
         block = int(64 * KiB)
         write_blocks(sim, comm, "/f", block)
         system = sim.univistor
         fid = system.session("/f").fid
-        cache = system.location_cache
-        assert cache.tracks(fid)
-        # The mirror holds exactly what the authoritative store holds.
-        auth, _ = system.metadata.lookup(fid, 0, comm.size * block)
-        assert as_tuples(cache.lookup(fid, 0, comm.size * block)) \
-            == as_tuples(auth)
+        assert system.metadata.records.count == comm.size
+        assert_served_from_list(system, fid, comm.size * block)
         data = read_all(sim, comm, "/f", block)
         assert_payloads(data, comm, block)
-        assert sim.telemetry.counters.get("cache-hit", 0) >= comm.size
+        assert not any(name.startswith("cache-")
+                       for name in sim.telemetry.counters)
 
     def test_overwrite_stays_coherent(self):
         sim, comm = setup()
         block = int(64 * KiB)
         write_blocks(sim, comm, "/f", block)
-        # Same region rewritten: _free_overwritten consults the cache,
-        # the write-through supersedes, and reads still see the fresh
-        # bytes (same payloads here; coherence is checked against the
-        # authoritative store directly).
+        # Same region rewritten: _free_overwritten finds the old records
+        # through lookup and the insert supersedes them in the list.
         write_blocks(sim, comm, "/f", block)
         system = sim.univistor
         fid = system.session("/f").fid
-        auth, _ = system.metadata.lookup(fid, 0, comm.size * block)
-        assert as_tuples(system.location_cache.lookup(
-            fid, 0, comm.size * block)) == as_tuples(auth)
-        assert sim.telemetry.counters.get("cache-hit", 0) > 0
-        assert sim.telemetry.counters.get("cache-invalidate", 0) > 0
+        assert system.metadata.records.count == comm.size
+        assert_served_from_list(system, fid, comm.size * block)
         assert_payloads(read_all(sim, comm, "/f", block), comm, block)
 
     def test_flush_migration_invalidates(self):
+        """A flush moves bytes down a layer without touching the list:
+        post-flush reads still answer from it."""
         sim, comm = setup(UniviStorConfig.dram_bb())  # flush enabled
         block = int(64 * KiB)
         write_blocks(sim, comm, "/f", block, sync=True)
         system = sim.univistor
         fid = system.session("/f").fid
-        # Flush moved the bytes down a layer: the cached VAs' layer
-        # association is stale, so the file must be dropped...
-        assert not system.location_cache.tracks(fid)
-        assert sim.telemetry.counters.get("cache-invalidate", 0) > 0
-        # ...and post-flush reads (authoritative path) stay correct.
+        assert system.session("/f").flushed_bytes > 0
+        assert system.metadata.records.count == comm.size
+        assert_served_from_list(system, fid, comm.size * block)
         assert_payloads(read_all(sim, comm, "/f", block), comm, block)
 
     def test_delete_invalidates(self):
@@ -227,35 +221,40 @@ class TestSimCoherence:
         system = sim.univistor
         fid = system.session("/f").fid
         system.delete_file("/f")
-        assert not system.location_cache.tracks(fid)
-        assert sim.telemetry.counters.get("cache-invalidate", 0) > 0
+        assert system.metadata.records.records(fid) == []
+        assert system.metadata.record_count == 0
 
     def test_takeover_clears_cache(self):
+        """A takeover rewrites replica sets and leaves the list alone;
+        reads after it reassemble the right bytes."""
         sim, comm = setup(UniviStorConfig.hardened(
             flush_enabled=False, metadata_range_size=float(64 * KiB)))
         block = int(64 * KiB)
         write_blocks(sim, comm, "/f", block)
         system = sim.univistor
         fid = system.session("/f").fid
-        assert system.location_cache.tracks(fid)
+        before = list(system.metadata.records.records(fid))
         system.metadata.fail_server(0)
         system.recovery.handle_server_dead(0)
         assert system.recovery.takeovers, "no range takeover happened"
-        # Replica sets were rewritten under the client: whole cache goes.
-        assert not system.location_cache.tracks(fid)
-        assert system.location_cache.lookup(fid, 0, block) is None
-        # Reads after the takeover come from the authoritative stores and
-        # still reassemble the right bytes.
+        assert system.metadata.records.records(fid) == before
+        assert_served_from_list(system, fid, comm.size * block)
         assert_payloads(read_all(sim, comm, "/f", block), comm, block)
 
     def test_cache_off_knob(self):
-        sim, comm = setup(UniviStorConfig.dram_bb(
-            flush_enabled=False).without("location_cache"))
-        block = int(64 * KiB)
-        write_blocks(sim, comm, "/f", block)
-        assert sim.univistor.location_cache is None
-        assert "cache-hit" not in sim.telemetry.counters
-        assert_payloads(read_all(sim, comm, "/f", block), comm, block)
+        """``location_cache=False`` is deprecated and ignored."""
+        with pytest.warns(DeprecationWarning, match="location_cache"):
+            config = UniviStorConfig.dram_bb(
+                flush_enabled=False).without("location_cache")
+        runs = []
+        for cfg in (config, UniviStorConfig.dram_bb(flush_enabled=False)):
+            sim, comm = setup(cfg)
+            block = int(64 * KiB)
+            write_blocks(sim, comm, "/f", block)
+            assert_payloads(read_all(sim, comm, "/f", block), comm, block)
+            runs.append([(r.op, r.t_start, r.t_end)
+                         for r in sim.telemetry.records])
+        assert runs[0] == runs[1]
 
     def test_unwritten_range_still_raises_with_cache(self):
         sim, comm = setup()
@@ -274,7 +273,7 @@ class TestSimCoherence:
             sim.run_to_completion(app())
 
 
-# -- split once: the write-through applies the stored pieces --------------
+# -- split once: each accepted piece is applied once ----------------------
 
 BLOCK = int(40 * KiB)
 
@@ -284,7 +283,7 @@ def collective_write(config, ranks=64, split=None):
     rank.  40 KiB blocks over 64 KiB ranges put many records across a
     range boundary (and one across the midpoint of range 1), so the
     write is really split.  ``split`` names a range to split before
-    the file exists, so the cache tracks the file from birth."""
+    the file exists."""
     sim = Simulation(MachineSpec.small_test(nodes=ranks // 4))
     sim.install_univistor(config)
     if split is not None:
@@ -301,35 +300,44 @@ class TestSplitOnce:
             metadata_replication=2, **kw)
 
     def test_cache_holds_the_stored_piece_objects(self):
+        """A collective write with no overwrite stores each piece once,
+        in the one list: no per-range history, no journal, and the
+        per-server record counts are views of the same records."""
         sim, comm = collective_write(self.config())
         system = sim.univistor
         fid = system.session("/f").fid
         md = system.metadata
-        cached = system.location_cache._files[fid][1]
-        stored = {id(r) for store in md._stores
-                  for r in store.get(fid, ((), ()))[1]}
-        journaled = {id(r) for recs in md._journal.values() for r in recs}
-        assert len(cached) > comm.size  # boundary-crossing records split
-        assert sum(r.length for r in cached) == comm.size * BLOCK
-        for record in cached:
-            assert id(record) in stored
-            assert id(record) in journaled
+        listed = md.records.records(fid)
+        assert len(listed) > comm.size  # boundary-crossing records split
+        assert sum(r.length for r in listed) == comm.size * BLOCK
+        assert md.record_count == len(listed)
+        assert md.records.history == {}
+        assert md._journal == {}
+        assert not hasattr(md, "_stores")
+        # Replication 2: every record is answered by two replica views.
+        assert sum(md.server_record_counts()) == 2 * len(listed)
+        for range_index in md.records.ranges():
+            assert md.journal_records(range_index) == [
+                r for r in listed
+                if int(r.offset // md.range_size) == range_index]
 
     def test_split_range_cache_matches_store(self):
-        """Pieces inside a hotspot-split range are also sliced at the
-        sub-range boundary.  The cache, which knows no sub-ranges, merges
-        them back; the stores answer per sub-range and so clip there.
-        Both resolve every byte to the same (ProcID, VA)."""
+        """Pieces inside a hotspot-split range are sliced at the
+        sub-range boundary; the list merges them back (which starts the
+        range's explicit history), and lookups clip per sub-range.  Both
+        resolve every byte to the same (ProcID, VA)."""
         sim, comm = collective_write(self.config(hotspot_enabled=True),
                                      split=1)
         system = sim.univistor
         md = system.metadata
         mid = md.sub_ranges(1)[1][0]
-        assert any(p.end == mid for p in md._journal[1])  # sub-sliced
+        assert any(p.end == mid for p in md.journal_records(1))
+        assert 1 in md.records.history
         fid = system.session("/f").fid
         total = comm.size * BLOCK
         auth, _ = md.lookup(fid, 0, total)
-        got = system.location_cache.lookup(fid, 0, total)
+        got = md.records.lookup(fid, 0, total)
+        assert any(r.end == mid for r in auth)
         assert (as_tuples(coalesce_records(got)[0])
                 == as_tuples(coalesce_records(auth)[0]))
         assert_payloads(read_all(sim, comm, "/f", BLOCK), comm, BLOCK)

@@ -183,17 +183,15 @@ class TestMetadataProperties:
             svc.insert(MetadataRecord(fid=1, offset=offset, length=length,
                                       proc_id=proc, va=offset,
                                       tier=StorageTier.DRAM, node_id=0))
-        # Each stored piece must live on the server that owns its offset.
-        for server in range(n_servers):
-            store = svc._stores[server].get(1)
-            if not store:
-                continue
-            for record in store[1]:
-                assert svc.server_of(record.offset) == server
-                # A piece never crosses a range boundary.
-                first = int(record.offset // svc.range_size)
-                last = int((record.end - 1) // svc.range_size)
-                assert first == last
+        # Each stored piece has one owning server: the one a lookup of
+        # its offset contacts.
+        for record in svc.records.records(1):
+            _found, touched = svc.lookup(1, record.offset, record.length)
+            assert touched == {svc.server_of(record.offset)}
+            # A piece never crosses a range boundary.
+            first = int(record.offset // svc.range_size)
+            last = int((record.end - 1) // svc.range_size)
+            assert first == last
 
 
 class TestBisectLookupEdgeCases:
@@ -235,7 +233,7 @@ class TestBisectLookupEdgeCases:
         # stored frozen object itself.
         svc = MetadataService(4, 1000)
         svc.insert(rec(100, 100))
-        stored = svc._stores[0][1][1][0]
+        stored = svc.records.records(1)[0]
         found, _ = svc.lookup(1, 0, 1000)
         assert found[0] is stored
 

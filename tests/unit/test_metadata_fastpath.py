@@ -131,7 +131,7 @@ class TestInsertManyBatching:
         assert touched == {0, 1}
         assert stats["batches"] == 4 and stats["pieces"] == 4
         for range_index in range(4):
-            assert len(md._journal[range_index]) == 1
+            assert len(md.journal_records(range_index)) == 1
 
     def test_coalesce_before_journal_append(self):
         md = MetadataService(n_servers=2, range_size=1024 * KB)
@@ -139,7 +139,7 @@ class TestInsertManyBatching:
         stats = {}
         md.insert_many(records, coalesce=True, stats=stats)
         assert stats["coalesced"] == 7
-        assert len(md._journal[0]) == 1  # one journaled piece, not 8
+        assert len(md.journal_records(0)) == 1  # one piece, not 8
 
     def test_batched_equals_sequential(self):
         a = MetadataService(n_servers=4, range_size=64 * KB, replication=2)
@@ -186,13 +186,14 @@ class TestJournalCheckpoint:
             assert len(md.journal_records(range_index)) <= 4 + len(entries)
 
     def test_journal_keys_survive_truncation(self):
-        # Range ownership is discovered by iterating journal keys; a
-        # truncated range must keep its (emptied) key.
+        # A truncated range keeps its (emptied) journal and stays
+        # data-bearing, so recovery and pool changes still find it.
         md = self.make()
         for i in range(8):
             md.insert(rec(i * 2 * KB, 2 * KB, proc=i % 2, va=i * 2 * KB))
         assert md.checkpoints_taken > 0
         assert 0 in md._journal
+        assert 0 in md.records.ranges()
 
     def test_no_truncation_with_dead_replica(self):
         md = self.make()
@@ -240,5 +241,5 @@ class TestJournalCheckpoint:
         assert md.checkpoints_taken > 0
         md.delete_file(1)
         assert md.record_count == 0
-        for range_index in list(md._journal) + list(md._checkpoints):
-            assert all(p.fid != 1 for p in md.journal_records(range_index))
+        for range_index in range(4):
+            assert md.journal_records(range_index) == []
