@@ -27,9 +27,11 @@ Output schema (``BENCH_simulator.json``)::
                                                "stddev": s, "rounds": n}}},
               ...]}
 
-Entries are append-only; the newest entry is compared against the previous
-one on stdout so a regression is visible in the CI log without downloading
-the artifact.
+Entries are append-only; the newest entry is compared on stdout against
+the latest entry recorded on a host with the same fingerprint (python,
+platform, CPU count), so a regression is visible in the CI log without
+downloading the artifact.  With no such entry nothing is flagged: timings
+from another host compare hosts, not code.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ import subprocess
 import sys
 import tempfile
 from datetime import datetime, timezone
+from typing import Optional
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_FILE = os.path.join(REPO_ROOT, "benchmarks",
@@ -126,12 +129,27 @@ def load_trajectory(path: str) -> dict:
     return {"schema": 1, "runs": []}
 
 
-def compare(prev: dict, curr: dict) -> list:
-    """Print current-vs-previous per-bench speedups (min wall time),
+def same_host_baseline(runs: list, host: dict) -> Optional[dict]:
+    """The latest trajectory run recorded on a host with this
+    fingerprint, or None."""
+    for run in reversed(runs):
+        if run.get("host") == host:
+            return run
+    return None
+
+
+def compare(runs: list, curr: dict, host: dict) -> list:
+    """Print current-vs-baseline per-bench speedups (min wall time),
     flagging >10 % regressions; returns the flagged bench names.
 
-    Non-gating: the return value feeds the CI log line, not the exit
-    code (bench hosts are noisy; a human reads the table)."""
+    The baseline is :func:`same_host_baseline`; without one the table
+    shows the current times only and nothing is flagged.  Non-gating:
+    the return value feeds the CI log line, not the exit code (bench
+    hosts are noisy; a human reads the table)."""
+    baseline = same_host_baseline(runs, host)
+    prev = baseline["benchmarks"] if baseline is not None else {}
+    if baseline is None:
+        print("\nno same-host baseline in the trajectory: nothing flagged")
     regressions = []
     print(f"\n{'benchmark':44s} {'prev min':>10s} {'curr min':>10s} "
           f"{'speedup':>8s}")
@@ -149,7 +167,7 @@ def compare(prev: dict, curr: dict) -> list:
             print(f"{name:44s} {'-':>10s} {stats['min']:10.4f} {'-':>8s}")
     if regressions:
         print(f"\n{len(regressions)} bench(es) regressed >10% vs the "
-              f"previous run (non-gating)")
+              f"latest same-host run (non-gating)")
     return regressions
 
 
@@ -209,8 +227,9 @@ def main(argv=None) -> int:
                              "cumulative); skips the trajectory")
     parser.add_argument("--github-warnings", action="store_true",
                         help="emit a ::warning:: annotation per bench "
-                             "that regressed >10%% vs the previous "
-                             "trajectory entry (non-gating; for CI)")
+                             "that regressed >10%% vs the latest "
+                             "same-host trajectory entry (non-gating; "
+                             "for CI)")
     args = parser.parse_args(argv)
 
     if args.profile:
@@ -246,15 +265,12 @@ def main(argv=None) -> int:
         "host": host_info(),
         "benchmarks": benches,
     }
-    if trajectory["runs"]:
-        regressions = compare(trajectory["runs"][-1]["benchmarks"], benches)
-    else:
-        regressions = compare({}, benches)
+    regressions = compare(trajectory["runs"], benches, entry["host"])
     if args.github_warnings:
         for name in regressions:
             print(f"::warning title=bench regression::{name} regressed "
-                  f">10% vs the previous BENCH_simulator.json entry "
-                  f"(non-gating; shared runners are noisy)")
+                  f">10% vs the latest same-host BENCH_simulator.json "
+                  f"entry (non-gating; shared runners are noisy)")
     if args.dry_run:
         print("\n--dry-run: trajectory not updated")
         return 0

@@ -11,7 +11,6 @@ import numpy as np
 
 from repro.cluster.spec import MachineSpec
 from repro.core.config import StorageTier, UniviStorConfig
-from repro.core.location_cache import LocationCache
 from repro.core.metadata import MetadataRecord, MetadataService
 from repro.experiments.common import build_simulation
 from repro.sim import BandwidthResource, Engine
@@ -110,20 +109,17 @@ class TestMetadataFastPath:
         assert benchmark(run) > 0
 
     def test_cached_read_latency(self, benchmark):
-        """Strided multi-range lookups: location-cache hits plus the
-        unchanged per-range cost accounting."""
+        """Strided multi-range lookups: bisects of the one record list
+        plus the per-range cost accounting."""
         chunk = int(4 * KiB)
         n_records = 16384  # 64 MiB of 4 KiB pieces, writers alternating
         md = MetadataService(n_servers=4, range_size=float(64 * KiB),
                              replication=1)
-        cache = LocationCache(md.range_size)
-        cache.begin_file(1)
         records = [MetadataRecord(1, i * chunk, chunk, i % 4,
                                   float(i * chunk), StorageTier.DRAM,
                                   i % 2)
                    for i in range(n_records)]
         md.insert_many(records)
-        cache.insert_records(records)
         span = int(1 * MiB)
         limit = n_records * chunk - span
         offsets = [(j * 997 * chunk) % limit // chunk * chunk
@@ -132,8 +128,7 @@ class TestMetadataFastPath:
         def run():
             total = 0
             for off in offsets:
-                found = cache.lookup(1, off, span)
-                md.read_servers_for(1, off, span)
+                found, _servers = md.lookup(1, off, span)
                 total += len(found)
             return total
 
