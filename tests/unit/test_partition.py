@@ -188,6 +188,26 @@ class TestQuorumService:
         svc.set_reachable(old[0])
         assert svc.read_server_of(0) in new
 
+    def test_read_repaired_ex_member_never_surfaces_old_records(self):
+        """Read-repair clears the fence of a healed ex-member, which no
+        longer belongs to the range: it must not become a holder whose
+        copy misses the writes that follow.  (A rebuild used to replay
+        the whole journal onto it, and the flush path's records_of then
+        returned the superseded record next to the new one.)"""
+        svc = MetadataService(6, 100, replication=2, replica_stride=2,
+                              quorum=True)
+        svc.insert(rec(0, 50, proc=0))
+        old = svc.replica_servers(0)
+        svc.set_unreachable(old[0])
+        svc.recover_server(old[0])      # lease expired: fenced, replaced
+        svc.set_reachable(old[0])
+        svc.read_server_of(0)           # read-repairs the ex-member
+        assert svc.stale_members(0) == set()
+        assert old[0] not in svc.replica_servers(0)
+        svc.insert(rec(0, 50, proc=1, va=500))
+        assert [r.proc_id for r in svc.records_of(1)] == [1]
+        assert [r.proc_id for r in svc.lookup(1, 0, 50)[0]] == [1]
+
 
 class TestPartitionLifecycle:
     """Engine-driven: suspect held, lease fencing, stale-read safety."""
